@@ -36,6 +36,11 @@ Rules (finding codes):
     A per-event-instantiated (or per-event-accessed) class lost its
     ``__slots__`` declaration.
 
+A target whose rule keys include ``per-call`` is hot as a whole: it is
+called once per event from inside a drain loop (the OS scheduler's
+``place``/``occupy``/``release``), so its entire body is checked as if
+it sat in a ``while`` loop.
+
 Intentional, amortized violations are suppressed in place with a
 trailing ``# hotlint: ok`` (any rule) or ``# hotlint: ok(alloc)``
 (specific rules, comma-separated) on any line the flagged node spans —
@@ -111,6 +116,12 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/sim/cache.py", "CacheSystem.touch", ("alloc", "tap")),
     ("repro/sim/observe.py", "RingTrace._bind_add", ("alloc",)),
     ("repro/sim/observe.py", "SimObserver.fold", ("alloc",)),
+    # Placement runs once per dispatch from both fast cores' drain
+    # loops and the object core; occupy/release once per transition.
+    # The whole body is the hot path, hence the per-call scope.
+    ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc", "per-call")),
+    ("repro/sim/scheduler.py", "OSScheduler.occupy", ("alloc", "per-call")),
+    ("repro/sim/scheduler.py", "OSScheduler.release", ("alloc", "per-call")),
     # Mapping-engine hot loops (ISSUE 7): the per-edge matching loop
     # runs O(|E|) times per coarsening level, greedy growing and the
     # grouping grow loop run O(n) selection steps per split.
@@ -133,6 +144,9 @@ SLOTS_REQUIRED: dict[str, tuple[str, ...]] = {
     "repro/sim/observe.py": ("Counter", "Gauge", "Histogram", "RingTrace"),
     "repro/affinity/telemetry.py": ("WindowTelemetry",),
 }
+
+#: Rule-key modifier: lint the target's whole body as loop-hot.
+_PER_CALL = "per-call"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*hotlint:\s*ok(?:\(\s*([a-z, -]+?)\s*\))?"
@@ -208,8 +222,9 @@ class _HotScanner:
                 if isinstance(child, _FUNCS):
                     self.scan(child)
             return
+        per_call = _PER_CALL in self.rules
         for stmt in fn.body:
-            self._visit(stmt, in_while=False, guarded=False, cold=False)
+            self._visit(stmt, in_while=per_call, guarded=False, cold=False)
 
     def _visit(self, node: ast.AST, *, in_while: bool, guarded: bool,
                cold: bool) -> None:

@@ -15,7 +15,9 @@ live, via the native observe taps (both cores, bucket granularity):
   * ``clock-monotonic`` — ``engine.now`` is nondecreasing across every
     touch/block/finish/place callback;
   * ``occupancy`` — at every ``on_place(pu, thread)`` the scheduler's
-    busy map says *thread* occupies *pu*;
+    busy map says *thread* occupies *pu*, the free mask and load count
+    of *pu*'s NUMA node match the busy map, and the per-load free masks
+    (once built) match the loads and the free mask;
   * ``touch-bytes`` — observed touch sizes are nonnegative.
 
 post-run, in ``verify()`` (clean completions only):
@@ -24,7 +26,8 @@ post-run, in ``verify()`` (clean completions only):
     bounded by total traffic, and compute+control kind-splits conserve
     against the machine totals;
   * ``scheduler-idle`` — the busy map and per-NUMA load counts drained
-    to empty/zero;
+    to empty/zero, and the free masks are the exact complement of the
+    busy map;
   * ``observer-conservation`` — folded per-PU busy cycles equal the
     per-thread busy cycles, and registry totals match engine/ring
     ground truth;
@@ -50,7 +53,7 @@ from repro.errors import InvariantViolation
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.machine import SimMachine
 
-__all__ = ["SimSanitizer", "fingerprint"]
+__all__ = ["SimSanitizer", "fingerprint", "occupancy_drift"]
 
 #: Counter fields that must never go negative.
 _COUNTER_FIELDS = (
@@ -121,6 +124,12 @@ class SimSanitizer:
                 f"busy map holds "
                 f"{occupant.name if occupant is not None else None!r}",
             )
+        self.checks += 1
+        drift = occupancy_drift(
+            self.machine.scheduler, self.machine.scheduler._pu_node[pu]
+        )
+        if drift is not None:
+            self._fail("occupancy", drift)
 
     def attach(self) -> None:
         """Hook the machine's native taps (call before the drain loop)."""
@@ -190,13 +199,17 @@ class SimSanitizer:
                     f"PU {pu} still occupied by {occupant.name!r} after "
                     "the run drained",
                 )
-        for node, load in sched._node_load.items():
+        for node, load in enumerate(sched._node_load):
             self.checks += 1
             if load != 0:
                 self._fail(
                     "scheduler-idle",
                     f"NUMA node {node} load count ended at {load}, not 0",
                 )
+        self.checks += 1
+        drift = occupancy_drift(sched)
+        if drift is not None:
+            self._fail("scheduler-idle", drift)
 
     def _verify_observer(self, machine) -> None:
         obs = machine.observer
@@ -248,6 +261,60 @@ class SimSanitizer:
                     )
                 last_ts = ts
             self.checks += 1
+
+
+def occupancy_drift(sched, node: int | None = None) -> str | None:
+    """Where the scheduler's free masks disagree with its busy map.
+
+    Checks that the free mask is the exact complement of the busy map,
+    that each node's load count equals its busy PUs and, once spread
+    placement has built them, that the per-load free masks match the
+    loads and the free mask. With *node* set, only that node's PUs and
+    count are rebuilt from the busy map — the live check after a
+    placement on it — while the per-load masks are still compared
+    against all nodes (O(nodes)). Returns a description of the first
+    mismatch, or None.
+    """
+    n_nodes = len(sched._node_pus)
+    expect_free = 0
+    expect_load = [0] * n_nodes
+    for pu, occupant in sched._busy.items():
+        n = sched._pu_node[pu]
+        if node is not None and n != node:
+            continue
+        if occupant is None:
+            expect_free |= 1 << pu
+        else:
+            expect_load[n] += 1
+    scope = sched._node_pus[node] if node is not None else sum(sched._node_pus)
+    if node is None and sched._free & ~scope:
+        return (
+            f"free mask {sched._free:#x} has bits outside the machine's "
+            f"PUs ({scope:#x})"
+        )
+    if sched._free & scope != expect_free:
+        return (
+            f"free mask {sched._free & scope:#x} is not the complement of "
+            f"the busy PUs ({expect_free:#x})"
+        )
+    for n in range(n_nodes) if node is None else (node,):
+        if sched._node_load[n] != expect_load[n]:
+            return (
+                f"NUMA node {n} load count {sched._node_load[n]} != "
+                f"{expect_load[n]} busy PUs"
+            )
+    levels = sched._load_free
+    if levels is None:
+        return None
+    expect_levels = [0] * len(levels)
+    for n, pus in enumerate(sched._node_pus):
+        load = sched._node_load[n]
+        if not 0 <= load < len(levels):
+            return f"NUMA node {n} load count {load} is out of range"
+        expect_levels[load] |= sched._free & pus
+    if levels != expect_levels:
+        return "per-load free masks disagree with the node loads and masks"
+    return None
 
 
 def fingerprint(machine: "SimMachine") -> dict:

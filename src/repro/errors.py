@@ -12,6 +12,14 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
+class InputError(ReproError, ValueError):
+    """Malformed input value: a matrix, cpuset list or byte size.
+
+    Also a :class:`ValueError`, so callers written against the builtin
+    keep catching it.
+    """
+
+
 class TopologyError(ReproError):
     """Malformed or inconsistent hardware topology description."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ReproError
-from repro.experiments.runner import Scale
+from repro.scale import Scale
 
 __all__ = ["Job", "CELLS", "make_job", "run_cell", "encode_scale", "decode_scale"]
 

@@ -157,6 +157,7 @@ def run_soa(machine, *, max_cycles, max_events, jit=False):
     sched = machine.scheduler
     busy_map = sched._busy
     node_load = sched._node_load
+    node_pus = sched._node_pus
     place = sched.place
     rng = machine._rng
     ready = machine._ready
@@ -294,7 +295,17 @@ def run_soa(machine, *, max_cycles, max_events, jit=False):
         if busy_map[pu] is None:
             raise SimulationError(f"PU {pu} is not busy")
         busy_map[pu] = None
-        node_load[pu_numa[pu]] -= 1
+        # Mirrors OSScheduler.release: load count and free masks.
+        node = pu_numa[pu]
+        node_load[node] -= 1
+        free = sched._free
+        sched._free = free | (1 << pu)
+        levels = sched._load_free
+        if levels is not None:
+            mine = free & node_pus[node]
+            load = node_load[node]
+            levels[load + 1] ^= mine
+            levels[load] |= mine | (1 << pu)
         thread.pu = None
         col_pu[thread.tid] = -1
         if thread.kind == "compute":
@@ -314,7 +325,17 @@ def run_soa(machine, *, max_cycles, max_events, jit=False):
         if busy_map[pu] is not None:
             raise SimulationError(f"PU {pu} already busy")
         busy_map[pu] = thread
-        node_load[pu_numa[pu]] += 1
+        # Mirrors OSScheduler.occupy: load count and free masks.
+        node = pu_numa[pu]
+        node_load[node] += 1
+        free = sched._free
+        sched._free = free ^ (1 << pu)
+        levels = sched._load_free
+        if levels is not None:
+            mine = free & node_pus[node]
+            load = node_load[node]
+            levels[load - 1] ^= mine
+            levels[load] |= mine ^ (1 << pu)
         if on_place is not None:
             # Mirrors OSScheduler.occupy: hooks fire with the busy map
             # already updated, before the run transition is recorded.

@@ -332,6 +332,10 @@ def treematch_map(
 ) -> Placement:
     """Compute the topology-aware placement of *comm*'s threads (Algorithm 1).
 
+    *comm* may also be a square array; it is validated as a
+    :class:`CommunicationMatrix` (``InputError`` on non-finite or
+    negative entries).
+
     Parameters mirror the paper's adaptations:
 
     * ``n_control`` — number of ORWL control threads to account for
@@ -358,6 +362,8 @@ def treematch_map(
       is counted. Raises :class:`MappingError` when the warm placement
       is structurally incompatible.
     """
+    if not isinstance(comm, CommunicationMatrix):
+        comm = CommunicationMatrix(comm)
     if warm_start is not None:
         _check_warm_start(topology, warm_start)
     p = comm.order

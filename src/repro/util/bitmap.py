@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from repro.errors import InputError
+
 __all__ = ["Bitmap"]
 
 
@@ -32,7 +34,7 @@ class Bitmap:
         bits = 0
         for i in indices:
             if i < 0:
-                raise ValueError(f"bitmap indices must be >= 0, got {i}")
+                raise InputError(f"bitmap indices must be >= 0, got {i}")
             bits |= 1 << i
         object.__setattr__(self, "_bits", bits)
 
@@ -56,7 +58,7 @@ class Bitmap:
                     lo_s, hi_s = part.split("-", 1)
                     lo, hi = int(lo_s), int(hi_s)
                     if hi < lo:
-                        raise ValueError(f"descending range {part!r}")
+                        raise InputError(f"descending range {part!r}")
                     bits |= ((1 << (hi - lo + 1)) - 1) << lo
                 else:
                     bits |= 1 << int(part)
@@ -72,7 +74,7 @@ class Bitmap:
     @classmethod
     def single(cls, index: int) -> Bitmap:
         if index < 0:
-            raise ValueError("index must be >= 0")
+            raise InputError("index must be >= 0")
         return cls._from_bits(1 << index)
 
     # -- queries -----------------------------------------------------------

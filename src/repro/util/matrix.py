@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import InputError
+
 __all__ = ["symmetrize", "check_square", "zero_diagonal", "submatrix"]
 
 
@@ -15,11 +17,11 @@ def check_square(m: np.ndarray, *, name: str = "matrix") -> np.ndarray:
     """Validate that *m* is a finite, non-negative 2-D square array."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square 2-D, got shape {a.shape}")
+        raise InputError(f"{name} must be square 2-D, got shape {a.shape}")
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise InputError(f"{name} contains non-finite entries")
     if (a < 0).any():
-        raise ValueError(f"{name} contains negative entries")
+        raise InputError(f"{name} contains negative entries")
     return a
 
 

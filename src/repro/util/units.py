@@ -7,6 +7,8 @@ notation plus ``M``/``G``/``T`` suffixes with an optional ``B``/``iB`` tail.
 
 from __future__ import annotations
 
+from repro.errors import InputError
+
 __all__ = ["parse_size", "format_size"]
 
 _SUFFIXES = {"": 1, "K": 1024, "M": 1024**2, "G": 1024**3, "T": 1024**4}
@@ -24,7 +26,7 @@ def parse_size(text: str | int | float) -> int:
     """
     if isinstance(text, (int, float)):
         if text < 0:
-            raise ValueError(f"size must be >= 0, got {text}")
+            raise InputError(f"size must be >= 0, got {text}")
         return int(text)
     s = text.strip().upper()
     for tail in ("IB", "B"):
@@ -38,9 +40,9 @@ def parse_size(text: str | int | float) -> int:
     try:
         value = float(s)
     except ValueError as exc:
-        raise ValueError(f"unparsable size {text!r}") from exc
+        raise InputError(f"unparsable size {text!r}") from exc
     if value < 0:
-        raise ValueError(f"size must be >= 0, got {text!r}")
+        raise InputError(f"size must be >= 0, got {text!r}")
     return int(value * _SUFFIXES[suffix])
 
 
@@ -51,7 +53,7 @@ def format_size(nbytes: int) -> str:
     '20M'
     """
     if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
+        raise InputError("nbytes must be >= 0")
     for suffix in ("T", "G", "M", "K"):
         unit = _SUFFIXES[suffix]
         if nbytes >= unit and nbytes % unit == 0:

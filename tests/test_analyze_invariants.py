@@ -8,10 +8,10 @@ pin down that the checked runs agree bit-for-bit across cores.
 
 import pytest
 
-from repro.analyze.invariants import SimSanitizer, fingerprint
+from repro.analyze.invariants import SimSanitizer, fingerprint, occupancy_drift
 from repro.errors import InvariantViolation
 from repro.sim import Compute, SimMachine, Touch
-from repro.topology import smp12e5
+from repro.topology import smp12e5, smp20e7
 from repro.util.bitmap import Bitmap
 
 
@@ -158,3 +158,63 @@ class TestViolationDetection:
         from repro.errors import SimulationError
 
         assert issubclass(InvariantViolation, SimulationError)
+
+
+class TestFreeMaskInvariants:
+    """The scheduler's free masks and load counts against its busy map."""
+
+    def test_consistent_through_occupy_and_release(self):
+        sched = SimMachine(smp20e7()).scheduler
+        assert occupancy_drift(sched) is None
+        sched.occupy(9, object())
+        sched.occupy(17, object())
+        assert occupancy_drift(sched) is None
+        assert occupancy_drift(sched, sched._pu_node[9]) is None
+        sched.release(9)
+        assert occupancy_drift(sched) is None
+        sched._build_load_free()
+        sched.occupy(9, object())
+        sched.occupy(10, object())
+        sched.release(17)
+        assert occupancy_drift(sched) is None
+
+    @pytest.mark.parametrize("corrupt", ["stale", "foreign", "level", "load"])
+    def test_each_drift_is_named(self, corrupt):
+        sched = SimMachine(smp20e7()).scheduler
+        sched.occupy(9, object())
+        sched._build_load_free()
+        node = sched._pu_node[9]
+        if corrupt == "stale":
+            sched._free |= 1 << 9
+        elif corrupt == "foreign":
+            sched._free |= 1 << 4096
+        elif corrupt == "level":
+            sched._load_free[0] |= 1 << 9
+        else:
+            sched._node_load[node] += 1
+        assert occupancy_drift(sched) is not None
+
+    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    def test_live_check_catches_a_stale_mask(self, core):
+        machine = SimMachine(smp12e5(), core=core, sanitize=True)
+        buf = machine.allocate(1 << 16, "b")
+
+        def body():
+            for _ in range(5):
+                yield Compute(1e4)
+                yield Touch(buf, 4096, write=True)
+
+        def stale_mask(pu, thread):
+            # A placement that forgets to clear its PU's free bit.
+            machine.scheduler._free |= 1 << pu
+
+        machine.add_thread("t0", body())
+        machine.scheduler.on_place.append(stale_mask)
+        with pytest.raises(InvariantViolation, match="occupancy"):
+            machine.run()
+
+    def test_post_run_check_catches_a_stale_mask(self):
+        machine = tiny_run(sanitize=True)
+        machine.scheduler._free ^= 1 << 2
+        with pytest.raises(InvariantViolation, match="scheduler-idle"):
+            machine.sanitizer.verify(machine)

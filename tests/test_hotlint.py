@@ -18,6 +18,14 @@ class TestTreeIsClean:
         report = run_hotlint()
         assert [f for f in report.findings if f.severity == "error"] == []
 
+    def test_scheduler_placement_is_a_target(self):
+        from repro.analyze.hotlint import HOT_TARGETS
+
+        targets = {q: rules for path, q, rules in HOT_TARGETS
+                   if path == "repro/sim/scheduler.py"}
+        for method in ("place", "occupy", "release"):
+            assert targets[f"OSScheduler.{method}"] == ("alloc", "per-call")
+
     def test_all_configured_targets_found(self):
         # A rename in the simulator must update the lint config too.
         report = run_hotlint()
@@ -82,6 +90,19 @@ class TestAllocRule:
                     q.pop()
         """)
         assert findings == []
+
+    def test_per_call_scope_lints_whole_body(self):
+        # A function called once per event is hot without a loop of its
+        # own: the list-scan placement this rule now keeps out.
+        source = """
+            def place(self, thread):
+                candidates = [p for p in self.pus if self.free(p)]
+                return min(candidates)
+        """
+        assert lint(source, rules=("alloc",)) == []
+        findings = lint(source, rules=("alloc", "per-call"))
+        assert codes(findings) == ["hot-loop-alloc"]
+        assert findings[0].line == 3
 
     def test_suppression_comment(self):
         findings = lint("""

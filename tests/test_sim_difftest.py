@@ -95,3 +95,34 @@ def test_sampled_mode_wraps_and_drops():
 
 def test_run_smoke_passes():
     assert difftest.run_smoke(3) == 3
+
+
+def test_sanitized_unbound_smp20e7_across_cores(monkeypatch):
+    """REPRO_SANITIZE=1 on an unbound SMP20E7 matmul cell: every thread
+    is placed by the spread policy, with wakeup and rebalance
+    migrations, so the scheduler's free masks change on every
+    transition. The sanitizer checks them live and post-run on all three
+    cores, and the checked runs agree bit for bit."""
+    from repro.analyze.invariants import fingerprint
+
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    spec = difftest.ProgramSpec(
+        index=0, app="matmul", config=(("n", 48), ("n_tasks", 8)),
+        topology="smp20e7", affinity=False, seed=7, tap_mode="off",
+    )
+    fps = {}
+    for core in ("object", "batched", "soa"):
+        rt = difftest.build_runtime(spec, core, difftest._make_taps("off"))
+        rt.run()
+        machine = rt.machine
+        assert machine.core_used == core
+        assert machine.scheduler.policy == "spread"
+        assert all(t.cpuset is None for t in machine.threads)
+        assert sum(t.counters.cpu_migrations for t in machine.threads) > 0
+        assert machine.sanitizer is not None
+        assert machine.sanitizer.checks > 0
+        fp = fingerprint(machine)
+        fp.pop("core_used")
+        fps[core] = fp
+    assert fps["batched"] == fps["object"]
+    assert fps["soa"] == fps["object"]

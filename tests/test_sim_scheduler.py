@@ -1,5 +1,7 @@
 """Direct unit tests for the OS scheduler models."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -8,6 +10,7 @@ from repro.sim.params import CostModel
 from repro.sim.process import SimThread
 from repro.sim.scheduler import OSScheduler
 from repro.topology import fig2_machine, smp12e5, smp20e7
+from repro.topology.serialize import topology_from_dict, topology_to_dict
 from repro.util.bitmap import Bitmap
 from repro.util.rng import make_rng
 
@@ -115,3 +118,189 @@ class TestPlacement:
     def test_policy_from_topology_attr(self):
         assert make_sched(smp20e7()).policy == "spread"
         assert make_sched(smp12e5()).policy == "consolidate"
+
+
+# -- differential test against the list-scan placement ------------------------
+
+
+class ListScanOracle:
+    """The list-scan ``OSScheduler.place`` the bitmask model replaced.
+
+    ``place`` below is that implementation verbatim; it reads the live
+    busy map and load counts of the scheduler under test but draws from
+    its own RNG, so the two can be compared call by call.
+    """
+
+    def __init__(self, sched: OSScheduler, rng) -> None:
+        self._busy = sched._busy
+        self._node_load = sched._node_load
+        self._all_pus = sched._all_pus
+        self.memory = sched.memory
+        self.policy = sched.policy
+        self.migrate_prob = sched.migrate_prob
+        self.wakeup_migrate_prob = sched.wakeup_migrate_prob
+        self._rng = rng
+
+    @property
+    def free_pus(self) -> list[int]:
+        return [p for p in self._all_pus if self._busy[p] is None]
+
+    def place(self, thread: SimThread, *, rebalance: bool = False) -> int | None:
+        if thread.cpuset is not None:
+            last = thread.last_pu
+            if (
+                not rebalance
+                and last is not None
+                and self._busy.get(last) is None
+                and last in thread.cpuset
+            ):
+                return last
+            candidates = [p for p in thread.cpuset if self._busy.get(p) is None]
+        else:
+            candidates = self.free_pus
+        if not candidates:
+            return None
+        if not rebalance and thread.last_pu in candidates:
+            if (
+                thread.cpuset is None
+                and self._rng is not None
+                and self.wakeup_migrate_prob > 0.0
+                and self._rng.random() < self.wakeup_migrate_prob
+            ):
+                pass
+            else:
+                return thread.last_pu
+        if thread.cpuset is not None:
+            return candidates[0]
+        if thread.last_pu is None and self.policy == "consolidate":
+            first_node = min(
+                self.memory.numa_of_pu(p) for p in candidates
+            )
+            near = [
+                p for p in candidates if self.memory.numa_of_pu(p) == first_node
+            ]
+            return min(near)
+        if (
+            rebalance
+            and self._rng is not None
+            and self.migrate_prob > 0.0
+            and len(candidates) > 1
+            and self._rng.random() < self.migrate_prob
+        ):
+            others = [p for p in candidates if p != thread.last_pu]
+            return int(others[self._rng.integers(0, len(others))])
+        if self.policy == "consolidate":
+            return min(candidates)
+
+        def node_key(p: int) -> tuple[int, int]:
+            return (self._node_load[self.memory.numa_of_pu(p)], p)
+
+        return min(candidates, key=node_key)
+
+
+def interleaved_fig2():
+    """Fig. 2's machine through the serializer, with PUs renumbered so
+    os_index is non-contiguous: nodes interleave, the first NUMA node
+    holds the *highest* numbers of each stride, and every third index
+    is a hole."""
+    data = topology_to_dict(fig2_machine())
+    pus = []
+
+    def walk(d):
+        if d["type"] == "PU":
+            pus.append(d)
+        for child in d.get("children", ()):
+            walk(child)
+
+    walk(data["root"])
+    n_nodes = 4
+    per_node = len(pus) // n_nodes
+    for i, pu in enumerate(pus):
+        node, j = divmod(i, per_node)
+        pu["os_index"] = 3 * (j * n_nodes + (n_nodes - 1 - node)) + 1
+    return topology_from_dict(data)
+
+
+TOPOLOGIES = {
+    "fig2": fig2_machine,
+    "smp12e5": smp12e5,
+    "smp20e7": smp20e7,
+    "interleaved": interleaved_fig2,
+}
+
+
+def random_cpuset(topo, driver: random.Random) -> Bitmap:
+    pus = [p.os_index for p in topo.pus]
+    shape = driver.random()
+    if shape < 0.4:
+        return Bitmap.single(driver.choice(pus))
+    if shape < 0.7:
+        node = driver.choice(topo.numa_nodes)
+        return Bitmap(p.os_index for p in node.leaves())
+    return Bitmap(driver.sample(pus, driver.randint(2, 12)))
+
+
+def drive_differential(topo_name, policy, seed, *, migrate_prob,
+                       wakeup_migrate_prob, steps=600):
+    """Seeded occupy/release/place sequence on the bitmask scheduler,
+    every ``place`` checked against the list-scan oracle."""
+    topo = TOPOLOGIES[topo_name]()
+    sched = make_sched(topo, policy, rng=make_rng(seed),
+                       migrate_prob=migrate_prob,
+                       wakeup_migrate_prob=wakeup_migrate_prob)
+    oracle = ListScanOracle(sched, make_rng(seed))
+    driver = random.Random(seed)
+    n_pus = topo.n_pus
+    threads = []
+    for tid in range(n_pus + n_pus // 4):  # oversubscribed
+        cpuset = random_cpuset(topo, driver) if driver.random() < 0.3 else None
+        threads.append(thread(tid, cpuset=cpuset))
+    running: dict[int, int] = {}  # tid -> pu
+    decisions = 0
+    for _ in range(steps):
+        if running and driver.random() < 0.4:
+            tid = driver.choice(sorted(running))
+            sched.release(running.pop(tid))
+            continue
+        idle = [t for t in threads if t.tid not in running]
+        t = driver.choice(idle)
+        rebalance = driver.random() < 0.35
+        got = sched.place(t, rebalance=rebalance)
+        want = oracle.place(t, rebalance=rebalance)
+        assert got == want, (topo_name, policy, t.tid, rebalance)
+        assert (sched._rng.bit_generator.state
+                == oracle._rng.bit_generator.state)
+        decisions += 1
+        if got is not None:
+            sched.occupy(got, t)
+            t.last_pu = got
+            running[t.tid] = got
+    return decisions
+
+
+class TestBitmaskMatchesListScan:
+    @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("policy", OSScheduler.POLICIES)
+    @pytest.mark.parametrize("probs", [(0.0, 0.0), (0.3, 0.12), (1.0, 1.0)],
+                             ids=["no-rng", "model", "always"])
+    def test_same_choices_and_rng_draws(self, topo_name, policy, probs):
+        migrate_prob, wakeup_prob = probs
+        for seed in range(3):
+            assert drive_differential(
+                topo_name, policy, seed, migrate_prob=migrate_prob,
+                wakeup_migrate_prob=wakeup_prob,
+            ) > 100
+
+    def test_interleaved_topology_is_non_contiguous(self):
+        topo = interleaved_fig2()
+        first_node = [p.os_index for p in topo.numa_nodes[0].leaves()]
+        assert min(first_node) > min(p.os_index for p in topo.pus)
+        indices = [p.os_index for p in topo.pus]
+        assert max(indices) + 1 > len(indices)
+
+    def test_free_pus_ascending_from_masks(self):
+        s = make_sched(interleaved_fig2())
+        pus = sorted(p.os_index for p in s.topology.pus)
+        assert s.free_pus == pus
+        s.occupy(pus[3], thread())
+        assert s.free_pus == pus[:3] + pus[4:]

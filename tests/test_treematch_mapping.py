@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MappingError
+from repro.errors import InputError, MappingError, ReproError
 from repro.topology import fig2_machine, smp12e5, smp20e7
 from repro.treematch import (
     CommunicationMatrix,
@@ -360,3 +360,28 @@ class TestBaselineStrategies:
         assert strategy_by_name("compact") is compact_placement
         with pytest.raises(MappingError):
             strategy_by_name("nope")
+
+
+class TestInputErrorContract:
+    """Bad matrices fail inside the ReproError hierarchy, raw or wrapped."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0],
+                             ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("wrap", [False, True], ids=["array", "comm"])
+    def test_bad_entries_raise_repro_error(self, bad, wrap):
+        m = ring_matrix(8).raw.copy()
+        m[2, 5] = bad
+
+        def call():
+            comm = CommunicationMatrix(m) if wrap else m
+            return treematch_map(fig2_machine(), comm)
+
+        with pytest.raises(ReproError) as info:
+            call()
+        assert isinstance(info.value, InputError)
+        assert isinstance(info.value, ValueError)
+
+    def test_raw_array_maps_like_wrapped(self):
+        comm = ring_matrix(8)
+        raw = treematch_map(fig2_machine(), comm.raw)
+        assert raw == treematch_map(fig2_machine(), comm)

@@ -106,3 +106,14 @@ class TestAlgebra:
         assert len(bm) == len(xs)
         assert bm.first() == (min(xs) if xs else -1)
         assert bm.last() == (max(xs) if xs else -1)
+
+
+def test_bad_input_raises_input_error():
+    from repro.errors import InputError, ReproError
+
+    for build in (lambda: Bitmap([-1]), lambda: Bitmap.from_list("5-2"),
+                  lambda: Bitmap.single(-3)):
+        with pytest.raises(InputError) as info:
+            build()
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)

@@ -33,6 +33,14 @@ class TestMatrixHelpers:
         with pytest.raises(ValueError):
             check_square([[0, -1], [0, 0]])
 
+    def test_check_square_errors_are_input_errors(self):
+        from repro.errors import InputError, ReproError
+
+        for bad in (np.zeros((2, 3)), [[0, np.inf], [0, 0]], [[0, -1], [0, 0]]):
+            with pytest.raises(InputError) as info:
+                check_square(bad)
+            assert isinstance(info.value, ReproError)
+
     @given(squareish)
     def test_symmetrize_is_symmetric(self, m):
         s = symmetrize(m)

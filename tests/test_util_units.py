@@ -61,3 +61,15 @@ class TestFormat:
         # format→parse must stay within 5% (inexact suffixes round).
         out = parse_size(format_size(n))
         assert abs(out - n) <= max(64, int(0.05 * n))
+
+
+def test_parse_errors_are_repro_input_errors():
+    from repro.errors import InputError, ReproError
+
+    for bad in ("lots", "-4K", -1):
+        with pytest.raises(InputError) as info:
+            parse_size(bad)
+        assert isinstance(info.value, ReproError)
+        assert isinstance(info.value, ValueError)
+    with pytest.raises(InputError):
+        format_size(-1)
