@@ -129,6 +129,12 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/treematch/bisect.py", "_grow_side", ("alloc",)),
     ("repro/treematch/bisect.py", "_rebalance_exact", ("alloc",)),
     ("repro/treematch/grouping.py", "group_greedy", ("alloc",)),
+    # Swap refinement (once per grouping or uncoarsening level) and the
+    # rebalance gather (once per rebalance pass) are hot as a whole:
+    # their bodies are linted, with once-per-call setup suppressed in
+    # place.
+    ("repro/treematch/grouping.py", "refine_groups", ("alloc", "per-call")),
+    ("repro/treematch/bisect.py", "_attraction_rows", ("alloc", "per-call")),
     # Adaptive controller (ISSUE 10): the epoch loop runs once per
     # window — cool next to per-event code, but anything allocating in
     # it scales with run length — and the telemetry tap rides the

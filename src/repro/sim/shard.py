@@ -508,13 +508,22 @@ def _worker_main(conn, scenario: Scenario, shard_idxs: list[int]) -> None:
 
 
 class _ProcessWorker:
-    """A long-lived forked worker owning a subset of the shards."""
+    """A long-lived forked worker owning a subset of the shards.
+
+    A worker that dies (killed, crashed interpreter) closes its end of
+    the pipe; the next send or receive on it is turned into a
+    :class:`SimulationError` naming the worker's shards, its exit code
+    and the epoch it died in.
+    """
 
     def __init__(self, scenario: Scenario, shard_idxs: list[int]) -> None:
         import multiprocessing as mp
 
         ctx = mp.get_context("fork")
         self.shard_idxs = shard_idxs
+        self._names = [scenario.shards[i].name for i in shard_idxs]
+        self._stage = "start-up"
+        self._epochs = 0
         self._conn, child = ctx.Pipe()
         self._proc = ctx.Process(
             target=_worker_main, args=(child, scenario, shard_idxs), daemon=True
@@ -523,8 +532,28 @@ class _ProcessWorker:
         child.close()
         self._expect("ready")
 
+    def _died(self, exc: BaseException) -> SimulationError:
+        # The pipe closes when the process exits, so it is reaped at
+        # once; the timeout only bounds a worker that shut its pipe and
+        # kept running.
+        self._proc.join(timeout=5)
+        return SimulationError(
+            f"shard worker for shards {self._names} died during "
+            f"{self._stage} (exit code {self._proc.exitcode}): "
+            f"{type(exc).__name__} on its pipe"
+        )
+
+    def _send(self, msg: tuple) -> None:
+        try:
+            self._conn.send(msg)
+        except (EOFError, OSError) as exc:  # OSError covers ConnectionError
+            raise self._died(exc) from exc
+
     def _expect(self, want: str):
-        status, payload = self._conn.recv()
+        try:
+            status, payload = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._died(exc) from exc
         if status == "error":
             raise SimulationError(f"shard worker failed: {payload}")
         if status != want:  # pragma: no cover
@@ -532,16 +561,19 @@ class _ProcessWorker:
         return payload
 
     def submit_window(self, until, deliveries_by_shard, max_events) -> None:
+        self._epochs += 1
+        self._stage = f"epoch {self._epochs}"
         mine = {
             i: deliveries_by_shard.get(i, []) for i in self.shard_idxs
         }
-        self._conn.send(("window", until, mine, max_events))
+        self._send(("window", until, mine, max_events))
 
     def collect(self) -> dict:
         return self._expect("ok")
 
     def finish(self) -> dict:
-        self._conn.send(("finish",))
+        self._stage = f"finish after epoch {self._epochs}"
+        self._send(("finish",))
         return self._expect("ok")
 
     def close(self) -> None:

@@ -132,16 +132,22 @@ def _attraction_rows(
     k: int,
     cand: np.ndarray,
 ) -> np.ndarray:
-    """Attraction of each candidate vertex to every part (|cand| × k)."""
+    """Attraction of each candidate vertex to every part (|cand| × k).
+
+    The candidates' CSR spans are gathered as one flat index range —
+    ``repeat(starts - offsets, lens) + arange(total)`` — in candidate
+    order, so ``np.add.at`` accumulates in the same order as a
+    per-candidate walk.
+    """
     nc = cand.size
     attr = np.zeros((nc, k))
     if nc == 0:
         return attr
-    spans = [
-        np.arange(indptr[v], indptr[v + 1]) for v in cand.tolist()
-    ]
-    idx = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(nc), indptr[cand + 1] - indptr[cand])
+    starts = indptr[cand]
+    lens = indptr[cand + 1] - starts
+    ends = np.cumsum(lens)
+    idx = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
+    rows = np.repeat(np.arange(nc), lens)
     np.add.at(attr, (rows, asg[indices[idx]]), data[idx])
     return attr
 

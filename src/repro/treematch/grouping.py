@@ -13,6 +13,18 @@ keeps lazy row maxima instead of rescanning the matrix, and the
 refinement pass is a delta-gain local search driven by a precomputed
 element-to-group attraction matrix — all three stay usable at
 ``p ≈ 4096`` (see the ``mapping_bench`` entries of ``BENCH_sim.json``).
+
+Refinement prices a swap partner only for rows that can still gain.
+With ``delta[i, g]`` the attraction gain of moving *i* to group *g*,
+the k x k table ``top[g, h] = max over j in g of delta[j, h]`` bounds
+row *i*'s best swap gain by ``max_g (delta[i, g] + top[g, gi])``,
+widened by ``-2 min(0, min m)`` when the matrix has negative entries.
+IEEE rounding is monotone, so the bound holds for the computed gains
+too, not just the exact ones. A row whose bound is at most the
+``1e-12`` acceptance cut can never be swapped in that sweep, so
+skipping it changes no decision: groups and sweep/swap counts are
+bit-identical to pricing all n x n pairs. Late sweeps leave only a
+few percent of rows active.
 """
 
 from __future__ import annotations
@@ -279,8 +291,32 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
 # -- refinement -------------------------------------------------------------------
 
 #: Row-block size for the vectorized gain evaluation; bounds the size of
-#: the temporary gain blocks to block x p.
+#: the gain buffers to block x n.
 _REFINE_BLOCK = 512
+
+#: A swap must gain more than this to be applied (absorbs rounding noise).
+_GAIN_EPS = 1e-12
+
+
+def _gain_bound(delta: np.ndarray, asg: np.ndarray, widen: float) -> np.ndarray:
+    """Upper bound on each row's best swap gain (see :func:`refine_groups`).
+
+    ``top[g, h]`` is the largest ``delta[j, h]`` over the members *j* of
+    group *g*, and ``-inf`` on the diagonal and for empty groups.
+    """
+    k = delta.shape[1]
+    sizes = np.bincount(asg, minlength=k)
+    filled = sizes > 0
+    top = np.full((k, k), -np.inf)
+    if filled.any():
+        by_group = np.argsort(asg, kind="stable")
+        top[filled] = np.maximum.reduceat(
+            delta[by_group], (np.cumsum(sizes) - sizes)[filled], axis=0
+        )
+    np.fill_diagonal(top, -np.inf)
+    bound = (delta + top.T[asg]).max(axis=1)
+    bound += widen
+    return bound
 
 
 def refine_groups(
@@ -295,13 +331,27 @@ def refine_groups(
 
     Delta-gain formulation: with ``A[i, g]`` the attraction of element
     *i* to group *g* (one matrix product to build, updated incrementally
-    after each applied swap), the gain of exchanging *i* and *j* is
-    ``A[i, gj] + A[j, gi] - A[i, gi] - A[j, gj] - 2 m[i, j]``. Each sweep
-    evaluates every cross-group pair vectorized (in row blocks), then
-    applies the best non-conflicting swaps in descending-gain order,
-    re-checking each candidate's exact gain against the current state so
-    the objective never decreases. Sweeps repeat until none improves
-    (bounded by ``8 * max_rounds`` as a safety stop).
+    after each applied swap) and ``delta[i, g] = A[i, g] - A[i, gi]``,
+    the gain of exchanging *i* and *j* is
+    ``(delta[i, gj] + delta[j, gi]) - 2 m[i, j]``. Each sweep prices the
+    cross-group pairs vectorized (in row blocks), then applies the best
+    non-conflicting swaps in descending-gain order, re-checking each
+    candidate's exact gain against the current state so the objective
+    never decreases. Sweeps repeat until none improves (bounded by
+    ``8 * max_rounds`` as a safety stop).
+
+    Only rows that can still gain are priced. ``top[g, h]``, the largest
+    ``delta[j, h]`` over the members *j* of group *g*, bounds every
+    row's gains by ``U[i] = max_g (delta[i, g] + top[g, gi]) + w`` with
+    ``w = -2 min(0, min m)``: float addition rounds monotonically, so
+    ``fl(delta[i, gj] + delta[j, gi]) <= fl(delta[i, gj] + top[gj, gi])``,
+    and subtracting ``2 m[i, j] >= -w`` cannot lift it past ``+ w``. A
+    row with ``U[i] <= 1e-12`` therefore has no gain that could pass the
+    ``1e-12`` cut; it gets ``-inf`` instead of its (also failing) dense
+    maximum, the stable descending order of the passing rows is
+    unchanged, and so is every swap. A non-finite ``min m`` prices every
+    row. Active rows see the same float expression, entry by entry, as
+    a full sweep would, so argmax ties resolve identically.
 
     Only the listed members move; elements of *m* outside *groups* are
     untouched (the search then runs on the member submatrix).
@@ -311,26 +361,26 @@ def refine_groups(
     (exchanges applied) across calls — how warm-start convergence is
     counted rather than timed.
     """
-    groups = [list(g) for g in groups]
+    groups = [list(g) for g in groups]  # hotlint: ok(alloc) — once per call, defensive copy
     k = len(groups)
     if k < 2:
         return groups
     m = np.asarray(m, dtype=np.float64)
     p = m.shape[0]
-    members = [i for g in groups for i in g]
+    members = [i for g in groups for i in g]  # hotlint: ok(alloc) — once per call
     n = len(members)
-    if n == p and sorted(members) == list(range(p)):
+    if n == p and sorted(members) == list(range(p)):  # hotlint: ok(alloc) — once per call
         sub = m
         local_of: np.ndarray | None = None
         asg = np.empty(n, dtype=np.intp)
-        for gi, g in enumerate(groups):
+        for gi, g in enumerate(groups):  # hotlint: ok(alloc) — once per call
             asg[np.asarray(g, dtype=np.intp)] = gi
     else:
         local_of = np.asarray(members, dtype=np.intp)
         sub = m[np.ix_(local_of, local_of)]
         asg = np.empty(n, dtype=np.intp)
         pos = 0
-        for gi, g in enumerate(groups):
+        for gi, g in enumerate(groups):  # hotlint: ok(alloc) — once per call
             asg[pos : pos + len(g)] = gi
             pos += len(g)
 
@@ -338,31 +388,57 @@ def refine_groups(
     indicator[np.arange(n), asg] = 1.0
     attraction = sub @ indicator
 
+    # Bound widening for negative entries; a non-finite minimum makes
+    # every bound inf or nan, so no row is pruned.
+    lo = float(sub.min()) if n else 0.0
+    widen = -2.0 * min(lo, 0.0) if np.isfinite(lo) else np.inf
+
     rows = np.arange(n)
+    block = min(_REFINE_BLOCK, n)
+    gain = np.empty((block, n))
+    scratch = np.empty((block, n))
+    delta_t = np.empty((k, n))
     sweeps = 0
     swaps = 0
-    for _ in range(max(8 * max_rounds, 16)):
+    max_sweeps = max(8 * max_rounds, 16)
+    while sweeps < max_sweeps:
         sweeps += 1
         own = attraction[rows, asg]
         delta = attraction - own[:, None]
+
+        bound = _gain_bound(delta, asg, widen)
+        # ``~(<=)`` keeps nan bounds (non-finite input) active.
+        active = np.flatnonzero(~(bound <= _GAIN_EPS))
+
         best_gain = np.full(n, -np.inf)
         best_j = np.zeros(n, dtype=np.intp)
-        for start in range(0, n, _REFINE_BLOCK):
-            stop = min(start + _REFINE_BLOCK, n)
-            blk = slice(start, stop)
-            gain_blk = (
-                delta[blk][:, asg] + delta[:, asg[blk]].T - 2.0 * sub[blk]
-            )
-            gain_blk[asg[blk, None] == asg[None, :]] = -np.inf
-            arg = gain_blk.argmax(axis=1)
-            best_j[blk] = arg
-            best_gain[blk] = gain_blk[np.arange(stop - start), arg]
+        if active.size:
+            # Same-group partners get -inf through the gathered column
+            # term instead of a boolean-mask write per block.
+            delta_t[...] = delta.T
+            delta_t[asg, rows] = -np.inf
+        for start in range(0, active.size, block):
+            r = active[start : start + block]
+            nb = r.size
+            g_blk = gain[:nb]
+            s_blk = scratch[:nb]
+            # Indices are in range by construction; mode="clip" lets
+            # take write straight into ``out`` instead of a buffer.
+            np.take(delta[r], asg, axis=1, out=g_blk, mode="clip")
+            np.take(delta_t, asg[r], axis=0, out=s_blk, mode="clip")
+            np.add(g_blk, s_blk, out=g_blk)
+            np.take(sub, r, axis=0, out=s_blk, mode="clip")
+            s_blk *= 2.0
+            np.subtract(g_blk, s_blk, out=g_blk)
+            arg = g_blk.argmax(axis=1)
+            best_j[r] = arg
+            best_gain[r] = g_blk[np.arange(nb), arg]
 
         order = np.argsort(-best_gain, kind="stable")
         touched = np.zeros(n, dtype=bool)
         improved = False
         for i in order:
-            if best_gain[i] <= 1e-12:
+            if best_gain[i] <= _GAIN_EPS:
                 break
             i = int(i)
             j = int(best_j[i])
@@ -371,14 +447,14 @@ def refine_groups(
             gi, gj = int(asg[i]), int(asg[j])
             if gi == gj:
                 continue
-            gain = (
+            gain_ij = (
                 attraction[i, gj]
                 + attraction[j, gi]
                 - attraction[i, gi]
                 - attraction[j, gj]
                 - 2.0 * sub[i, j]
             )
-            if gain <= 1e-12:
+            if gain_ij <= _GAIN_EPS:
                 continue
             attraction[:, gi] += sub[:, j] - sub[:, i]
             attraction[:, gj] += sub[:, i] - sub[:, j]
@@ -397,7 +473,7 @@ def refine_groups(
     for gi in range(k):
         local = np.flatnonzero(asg == gi)
         if local_of is None:
-            out.append([int(x) for x in local])
+            out.append([int(x) for x in local])  # hotlint: ok(alloc) — once per group, at exit
         else:
-            out.append([int(local_of[x]) for x in local])
+            out.append([int(local_of[x]) for x in local])  # hotlint: ok(alloc) — once per group, at exit
     return out

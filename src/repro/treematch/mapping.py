@@ -400,6 +400,9 @@ def treematch_map(
     # Pad with dummy (zero-communication) threads up to the leaf count.
     m_cur = np.zeros((lv, lv))
     m_cur[:p_ext, :p_ext] = ext
+    # Only m_cur is read from here on; two more order-p dense copies
+    # would stay alive through the whole grouping loop.
+    del aff, ext
 
     # Lines 4-7: group bottom-up, aggregating between levels.
     clusters: list[list[int]] = [[i] for i in range(lv)]

@@ -26,6 +26,25 @@ class TestTreeIsClean:
         for method in ("place", "occupy", "release"):
             assert targets[f"OSScheduler.{method}"] == ("alloc", "per-call")
 
+    def test_mapping_refinement_is_a_target(self):
+        from repro.analyze.hotlint import HOT_TARGETS
+
+        targets = {(path, q): rules for path, q, rules in HOT_TARGETS}
+        for key in (
+            ("repro/treematch/grouping.py", "refine_groups"),
+            ("repro/treematch/bisect.py", "_attraction_rows"),
+        ):
+            assert targets[key] == ("alloc", "per-call")
+
+    def test_per_candidate_span_list_flagged(self):
+        # The span walk _attraction_rows used to build, once per call.
+        findings = lint("""
+            def _attraction_rows(indptr, cand):
+                spans = [np.arange(indptr[v], indptr[v + 1]) for v in cand]
+                return spans
+        """, qualname="_attraction_rows", rules=("alloc", "per-call"))
+        assert codes(findings) == ["hot-loop-alloc"]
+
     def test_all_configured_targets_found(self):
         # A rename in the simulator must update the lint config too.
         report = run_hotlint()

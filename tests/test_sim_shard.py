@@ -8,6 +8,10 @@ the shards run inline in one process or spread over forked workers.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import pytest
 
 pytestmark = pytest.mark.simcore
@@ -15,13 +19,14 @@ pytestmark = pytest.mark.simcore
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import (
     Channel,
+    Compute,
     Scenario,
     ShardSpec,
     Wait,
     halo_ring_scenario,
     run_sharded,
 )
-from repro.sim.shard import SHARD_PROGRAMS, register_program
+from repro.sim.shard import SHARD_PROGRAMS, _fork_available, register_program
 
 
 def small_ring(n_shards: int = 2, *, seed: int = 0, latency: float = 5e7):
@@ -224,3 +229,54 @@ class TestValidation:
                 run_sharded(scenario, workers=1)
         finally:
             del SHARD_PROGRAMS["_test_bad_send"]
+
+
+class TestWorkerFailure:
+    @pytest.mark.skipif(not _fork_available(), reason="needs fork workers")
+    def test_sigkilled_worker_raises_named_error(self):
+        # Shard "b" runs the halo program plus a thread that SIGKILLs its
+        # own worker process once its computes reach the second epoch.
+        parent = os.getpid()
+
+        @register_program("_test_sigkill")
+        def _build(ctx):
+            SHARD_PROGRAMS["halo_wide"](ctx)
+
+            def killer():
+                for _ in range(40):
+                    yield Compute(4e6)
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+
+            ctx.machine.add_thread("killer", killer(), kind="control")
+
+        def hung(signum, frame):  # pragma: no cover - only on regression
+            raise TimeoutError("run_sharded hung on a dead worker")
+
+        params = dict(width=4, iters=6, flops=4e6, bytes=1 << 13)
+        scenario = Scenario(
+            (
+                ShardSpec.make("a", "halo_wide", **params),
+                ShardSpec.make("b", "_test_sigkill", **params),
+            ),
+            (
+                Channel("a", "b", "halo", 5e7),
+                Channel("b", "a", "halo", 5e7),
+            ),
+        )
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(SimulationError) as info:
+                run_sharded(scenario, workers=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            del SHARD_PROGRAMS["_test_sigkill"]
+        assert time.perf_counter() - t0 < 30
+        msg = str(info.value)
+        assert "['b']" in msg
+        assert f"exit code {-signal.SIGKILL}" in msg
+        assert "during epoch " in msg
+        assert int(msg.split("during epoch ")[1].split()[0]) >= 2

@@ -29,6 +29,7 @@ from repro.treematch import (
     split_k,
     treematch_map,
 )
+from repro.treematch.bisect import _attraction_rows
 from repro.treematch.coarsen import heavy_edge_matching, parts_to_dense
 from repro.treematch.commmatrix import HAVE_SPARSE
 
@@ -185,6 +186,59 @@ class TestSplitK:
         parts = split_k(m, k)
         for part in parts:
             assert len({int(labels[i]) for i in part}) == 1
+
+
+def attraction_rows_by_spans(indptr, indices, data, asg, k, cand):
+    """The per-candidate ``np.arange`` walk ``_attraction_rows`` replaced."""
+    nc = cand.size
+    attr = np.zeros((nc, k))
+    if nc == 0:
+        return attr
+    spans = [
+        np.arange(indptr[v], indptr[v + 1]) for v in cand.tolist()
+    ]
+    idx = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
+    rows = np.repeat(np.arange(nc), indptr[cand + 1] - indptr[cand])
+    np.add.at(attr, (rows, asg[indices[idx]]), data[idx])
+    return attr
+
+
+class TestAttractionRows:
+    @staticmethod
+    def csr(n, seed):
+        # Random weights (so accumulation order shows in the bits), with
+        # about a fifth of the rows empty.
+        rng = np.random.default_rng(seed)
+        lens = rng.integers(0, 9, size=n)
+        lens[rng.random(n) < 0.2] = 0
+        indptr = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
+        indices = rng.integers(0, n, size=indptr[-1])
+        data = rng.random(indptr[-1]) * 1e3
+        return indptr, indices, data
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_span_walk(self, seed):
+        n, k = 200, 7
+        indptr, indices, data = self.csr(n, seed)
+        rng = np.random.default_rng(seed + 100)
+        asg = rng.integers(0, k, size=n)
+        for cand in (
+            np.flatnonzero(rng.random(n) < 0.5),
+            np.flatnonzero(indptr[1:] == indptr[:-1]),  # empty rows only
+            np.arange(n),
+        ):
+            got = _attraction_rows(indptr, indices, data, asg, k, cand)
+            want = attraction_rows_by_spans(indptr, indices, data, asg, k, cand)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_empty_candidates(self):
+        indptr, indices, data = self.csr(20, 0)
+        asg = np.zeros(20, dtype=np.intp)
+        got = _attraction_rows(
+            indptr, indices, data, asg, 3, np.empty(0, dtype=np.intp)
+        )
+        assert got.shape == (0, 3)
 
 
 class TestMultilevelMap:
