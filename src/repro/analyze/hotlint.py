@@ -127,14 +127,16 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     # grouping grow loop run O(n) selection steps per split.
     ("repro/treematch/coarsen.py", "heavy_edge_matching", ("alloc",)),
     ("repro/treematch/bisect.py", "_grow_side", ("alloc",)),
-    ("repro/treematch/bisect.py", "_rebalance_exact", ("alloc",)),
     ("repro/treematch/grouping.py", "group_greedy", ("alloc",)),
-    # Swap refinement (once per grouping or uncoarsening level) and the
-    # rebalance gather (once per rebalance pass) are hot as a whole:
-    # their bodies are linted, with once-per-call setup suppressed in
-    # place.
+    # Swap refinement (once per grouping or uncoarsening level), the
+    # rebalance passes and their gather (once per pass), and the dense
+    # affinity build (once per mapping call, over the whole matrix)
+    # are hot as a whole: their bodies are linted, with once-per-call
+    # or once-per-pass setup suppressed in place.
     ("repro/treematch/grouping.py", "refine_groups", ("alloc", "per-call")),
+    ("repro/treematch/bisect.py", "_rebalance_exact", ("alloc", "per-call")),
     ("repro/treematch/bisect.py", "_attraction_rows", ("alloc", "per-call")),
+    ("repro/util/matrix.py", "affinity_into", ("alloc", "per-call")),
     # Adaptive controller (ISSUE 10): the epoch loop runs once per
     # window — cool next to per-event code, but anything allocating in
     # it scales with run length — and the telemetry tap rides the

@@ -32,6 +32,15 @@ class MappingError(ReproError):
     """TreeMatch failed to produce a placement (bad matrix/tree sizes)."""
 
 
+class MatrixError(InputError, MappingError):
+    """Malformed communication or affinity matrix: not square 2-D, or an
+    entry that is non-finite or negative.
+
+    Raised alike by the dense and the CSR backend, so it is both an
+    :class:`InputError` and a :class:`MappingError`.
+    """
+
+
 class SimulationError(ReproError):
     """Discrete-event engine reached an inconsistent state."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MappingError
-from repro.util.matrix import check_square
+from repro.treematch.commmatrix import check_matrix
 
 try:  # pragma: no cover - optional dependency
     from scipy import sparse as _sp
@@ -58,14 +58,18 @@ def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
     matching the loop reference). The sparse path scatters the stored
     entries onto group pairs with one ``bincount`` — identical totals,
     O(nnz) instead of O(n²).
+
+    *m* is validated (:class:`~repro.errors.MatrixError`); the mapping
+    pipeline calls :func:`_aggregate` on matrices it built itself.
     """
+    return _aggregate(check_matrix(m), groups)
+
+
+def _aggregate(m, groups: list[list[int]]) -> np.ndarray:
+    """:func:`aggregate_comm_matrix` on a trusted square matrix."""
     k = len(groups)
+    p = m.shape[0]
     if _sp is not None and _sp.issparse(m):
-        p = m.shape[0]
-        if m.shape[0] != m.shape[1]:
-            raise MappingError(
-                f"affinity matrix must be square, got shape {m.shape}"
-            )
         asg = group_assignment(groups, p)
         coo = m.tocoo()
         gi = asg[coo.row]
@@ -81,11 +85,9 @@ def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
         out[ju, iu] = out[iu, ju]
         return out
 
-    a = check_square(m, name="affinity matrix")
-    p = a.shape[0]
     asg_of = group_assignment(groups, p)
     indicator = np.zeros((p, k))
     indicator[np.arange(p), asg_of] = 1.0
-    out = indicator.T @ a @ indicator
+    out = indicator.T @ m @ indicator
     upper = np.triu(out, 1)
     return upper + upper.T

@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.errors import MappingError
 from repro.treematch.coarsen import coarsen, parts_to_dense
-from repro.treematch.grouping import group_processes, refine_groups
+from repro.treematch.commmatrix import check_matrix
+from repro.treematch.grouping import _group_processes, refine_groups
 
 try:  # pragma: no cover - optional dependency
     from scipy import sparse as _sp
@@ -136,20 +137,21 @@ def _attraction_rows(
 
     The candidates' CSR spans are gathered as one flat index range —
     ``repeat(starts - offsets, lens) + arange(total)`` — in candidate
-    order, so ``np.add.at`` accumulates in the same order as a
-    per-candidate walk.
+    order, and one ``bincount`` over the flat cell ``row * k + part``
+    accumulates every cell's weights in that order, as a per-candidate
+    walk would.
     """
     nc = cand.size
-    attr = np.zeros((nc, k))
     if nc == 0:
-        return attr
+        return np.zeros((0, k))
     starts = indptr[cand]
     lens = indptr[cand + 1] - starts
     ends = np.cumsum(lens)
     idx = np.repeat(starts - (ends - lens), lens) + np.arange(ends[-1])
-    rows = np.repeat(np.arange(nc), lens)
-    np.add.at(attr, (rows, asg[indices[idx]]), data[idx])
-    return attr
+    cell = np.repeat(np.arange(0, nc * k, k), lens)
+    cell += asg[indices[idx]]
+    attr = np.bincount(cell, weights=data[idx], minlength=nc * k)
+    return attr.reshape(nc, k)
 
 
 def _rebalance_exact(
@@ -165,43 +167,50 @@ def _rebalance_exact(
     Runs on the finest level only (unit weights, so exact balance is
     reachable). Each pass ranks the over-full parts' vertices by the gain
     of moving to their most attractive under-full part and applies the
-    moves greedily under the capacity constraints; every pass strictly
-    shrinks the total excess, so the loop terminates.
+    moves greedily under the capacity constraints. The top-ranked
+    candidate always moves (its part is over-full and its destination
+    under-full when the pass starts), so every pass strictly shrinks the
+    total excess and the loop terminates.
+
+    The ranked candidates are walked as Python lists (no numpy scalar
+    per candidate) and the walk stops once the total excess reaches 0,
+    since every later candidate's source part is then full, not
+    over-full. The accepted moves reach *asg* in one scatter per pass;
+    each candidate moves at most once, so its source part is its part
+    at the start of the pass either way.
     """
-    loads = np.bincount(asg, minlength=k)
+    loads = np.bincount(asg, minlength=k).tolist()
     while True:
-        excess = loads - size
-        over = np.flatnonzero(excess > 0)
-        if over.size == 0:
+        load_arr = np.asarray(loads)
+        excess = int(np.maximum(load_arr - size, 0).sum())
+        if excess == 0:
             return asg
-        under = np.flatnonzero(excess < 0)
-        cand = np.flatnonzero(np.isin(asg, over))
+        under = np.flatnonzero(load_arr < size)
+        cand = np.flatnonzero((load_arr > size)[asg])
         attr = _attraction_rows(indptr, indices, data, asg, k, cand)
         to_under = attr[:, under]
         dest_pos = to_under.argmax(axis=1)
-        best_dest = under[dest_pos]
         rows = np.arange(cand.size)
-        gain = to_under[rows, dest_pos] - attr[rows, asg[cand]]
+        src = asg[cand]
+        gain = to_under[rows, dest_pos] - attr[rows, src]
         order = np.argsort(-gain, kind="stable")
-        moved = False
-        for oi in order:
-            v = int(cand[oi])
-            src = int(asg[v])
-            dst = int(best_dest[oi])
-            if loads[src] <= size or loads[dst] >= size:
+        moved_v: list[int] = []
+        moved_dst: list[int] = []
+        for v, s, d in zip(  # hotlint: ok(alloc) — one iterator per pass
+            cand[order].tolist(),
+            src[order].tolist(),
+            under[dest_pos[order]].tolist(),
+        ):
+            if loads[s] <= size or loads[d] >= size:
                 continue
-            asg[v] = dst
-            loads[src] -= 1
-            loads[dst] += 1
-            moved = True
-        if not moved:
-            # Every preferred destination filled up this pass; force one
-            # move to the first open part so the excess still shrinks.
-            v = int(cand[0])
-            dst = int(np.flatnonzero(loads < size)[0])
-            loads[asg[v]] -= 1
-            loads[dst] += 1
-            asg[v] = dst
+            moved_v.append(v)
+            moved_dst.append(d)
+            loads[s] -= 1
+            loads[d] += 1
+            excess -= 1
+            if excess == 0:
+                break
+        asg[moved_v] = moved_dst
 
 
 def split_k(aff, k: int, *, refine_limit: int = REFINE_LIMIT) -> list[list[int]]:
@@ -212,7 +221,15 @@ def split_k(aff, k: int, *, refine_limit: int = REFINE_LIMIT) -> list[list[int]]
     of ``n // k`` sorted task indices. Part numbering is deterministic
     but carries no topology meaning — callers order parts separately
     (see ``maporder``).
+
+    *aff* is validated (:class:`~repro.errors.MatrixError`); the
+    multilevel mapper calls :func:`_split_k` on matrices it built itself.
     """
+    return _split_k(check_matrix(aff), k, refine_limit=refine_limit)
+
+
+def _split_k(aff, k: int, *, refine_limit: int = REFINE_LIMIT) -> list[list[int]]:
+    """:func:`split_k` on a trusted affinity matrix."""
     n = int(aff.shape[0])
     if k <= 0:
         raise MappingError(f"part count must be positive, got {k}")
@@ -224,7 +241,7 @@ def split_k(aff, k: int, *, refine_limit: int = REFINE_LIMIT) -> list[list[int]]
     if size == 1:
         return [[i] for i in range(n)]
     if n <= DIRECT_LIMIT:
-        return group_processes(_densify(aff), size, refine=True)
+        return _group_processes(_densify(aff), size, refine=True)
 
     levels = coarsen(aff, target=max(COARSE_MIN, COARSE_PER_PART * k))
     coarsest = levels[-1]

@@ -17,6 +17,11 @@ Two storage backends share one API:
 When ``scipy`` is not installed the sparse backend degrades gracefully:
 ``sparse=True`` falls back to dense storage (callers that genuinely need
 CSR check :data:`HAVE_SPARSE`).
+
+A matrix is validated once, at construction, and keeps a private copy
+of its entries: both backends raise :class:`~repro.errors.MatrixError`
+on a non-square shape or a non-finite or negative entry. The affinity
+views trust the stored entries and do not validate again.
 """
 
 from __future__ import annotations
@@ -25,15 +30,15 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.errors import MappingError
-from repro.util.matrix import check_square, submatrix, symmetrize, zero_diagonal
+from repro.errors import MappingError, MatrixError
+from repro.util.matrix import affinity_into, check_square, submatrix
 
 try:  # pragma: no cover - exercised implicitly by every test run
     from scipy import sparse as _sp
 except ImportError:  # pragma: no cover - scipy is an optional dependency
     _sp = None
 
-__all__ = ["CommunicationMatrix", "HAVE_SPARSE",
+__all__ = ["CommunicationMatrix", "HAVE_SPARSE", "check_matrix",
            "SPARSE_AUTO_ORDER", "SPARSE_AUTO_DENSITY"]
 
 #: True when scipy.sparse is importable and the CSR backend is available.
@@ -98,18 +103,38 @@ class _DefaultLabels(Sequence):
         return f"<_DefaultLabels n={self._n} base={self._base}>"
 
 
+def _check_sparse_values(m, name: str) -> None:
+    """Shape and stored-value checks of a scipy sparse matrix."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise MatrixError(f"{name} must be square 2-D, got shape {m.shape}")
+    # dok and lil keep no flat value array.
+    data = m.data if m.format in ("csr", "csc", "coo", "bsr") else m.tocoo().data
+    if not np.isfinite(data).all():
+        raise MatrixError(f"{name} contains non-finite entries")
+    if data.size and data.min() < 0:
+        raise MatrixError(f"{name} contains negative entries")
+
+
 def _check_csr(m, *, name: str = "matrix"):
-    """CSR analogue of :func:`repro.util.matrix.check_square`."""
-    csr = _sp.csr_array(m, dtype=np.float64)
-    if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
-        raise MappingError(f"{name} must be square 2-D, got shape {csr.shape}")
-    if not np.isfinite(csr.data).all():
-        raise MappingError(f"{name} contains non-finite entries")
-    if csr.data.size and csr.data.min() < 0:
-        raise MappingError(f"{name} contains negative entries")
+    """CSR analogue of :func:`repro.util.matrix.check_square` (a copy)."""
+    csr = _sp.csr_array(m, dtype=np.float64, copy=True)
+    _check_sparse_values(csr, name)
     csr.sum_duplicates()
     csr.sort_indices()
     return csr
+
+
+def check_matrix(m, *, name: str = "affinity matrix"):
+    """Validate a dense array or a scipy sparse matrix; returns it.
+
+    Dense input comes back as a float64 array (:func:`check_square`);
+    sparse input is checked in place, without a copy. Either backend
+    raises :class:`~repro.errors.MatrixError`.
+    """
+    if HAVE_SPARSE and _sp.issparse(m):
+        _check_sparse_values(m, name)
+        return m
+    return check_square(m, name=name)
 
 
 def _sym_zero_diag_csr(m):
@@ -131,19 +156,24 @@ class CommunicationMatrix:
         *,
         sparse: bool | None = None,
     ) -> None:
+        # Validated once, here: the stored entries are a private copy
+        # (dense ones read-only), so every later view may trust them.
         if HAVE_SPARSE and _sp.issparse(data):
             if sparse is False:
-                self._m = check_square(data.toarray(),
-                                       name="communication matrix")
+                dense = check_square(data.toarray(),
+                                     name="communication matrix")
+                dense.flags.writeable = False
+                self._m = dense
             else:
                 self._m = _check_csr(data, name="communication matrix")
         else:
-            dense = check_square(np.asarray(data, dtype=np.float64),
+            dense = check_square(np.array(data, dtype=np.float64),
                                  name="communication matrix")
             if sparse and HAVE_SPARSE:
                 self._m = _check_csr(_sp.csr_array(dense),
                                      name="communication matrix")
             else:
+                dense.flags.writeable = False
                 self._m = dense
         if labels is not None and len(labels) != self.order:
             raise MappingError(
@@ -183,13 +213,13 @@ class CommunicationMatrix:
         bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
         if bad.any():
             b = int(np.flatnonzero(bad)[0])
-            raise MappingError(
+            raise MatrixError(
                 f"edge ({rows[b]}, {cols[b]}) outside order {n}"
             )
         neg = vals < 0
         if neg.any():
             b = int(np.flatnonzero(neg)[0])
-            raise MappingError(
+            raise MatrixError(
                 f"negative traffic on edge ({rows[b]}, {cols[b]})"
             )
         if _pick_sparse(sparse, n, k):
@@ -295,7 +325,21 @@ class CommunicationMatrix:
         """
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m).toarray()
-        return zero_diagonal(symmetrize(self._m))
+        return self._affinity_into(np.empty((self.order, self.order)))
+
+    def _affinity_into(self, out: np.ndarray) -> np.ndarray:
+        """Write the dense affinity view into ``out[:n, :n]``.
+
+        The rest of *out* is untouched, so a zeroed buffer of a larger
+        order comes back zero-padded. Dense storage goes through the
+        tiled one-pass build of :func:`repro.util.matrix.affinity_into`.
+        Nothing is cached: every call builds the view again.
+        """
+        if self.is_sparse:
+            n = self.order
+            out[:n, :n] = _sym_zero_diag_csr(self._m).toarray()
+            return out
+        return affinity_into(self._m, out)
 
     def affinity_sparse(self):
         """The affinity view as a CSR array (requires scipy)."""
@@ -303,7 +347,7 @@ class CommunicationMatrix:
             raise MappingError("scipy is not installed; no CSR affinity")
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m)
-        return _sp.csr_array(zero_diagonal(symmetrize(self._m)))
+        return _sp.csr_array(self.affinity())
 
     def affinity_any(self):
         """Affinity in the native backend: CSR when sparse, else dense.
@@ -313,7 +357,7 @@ class CommunicationMatrix:
         """
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m)
-        return zero_diagonal(symmetrize(self._m))
+        return self.affinity()
 
     def total_traffic(self) -> float:
         """Total off-diagonal traffic (both directions)."""

@@ -54,26 +54,48 @@ def extend_for_control_threads(
 
     *m* is the compute-thread affinity matrix (symmetric). *n_leaves* is
     the number of compute-granularity leaves of the tree (cores when
-    hyperthread-aware, PUs otherwise).
+    hyperthread-aware, PUs otherwise). *m* is validated here; the
+    mapping pipeline calls :func:`_control_plan` and
+    :func:`_write_control_edges` directly on the buffer it built itself.
     """
     a = check_square(m, name="affinity matrix")
     p = a.shape[0]
+    plan = _control_plan(p, n_control, n_leaves, hyperthreading=hyperthreading)
+    if not plan.slots:
+        return a, plan
+    ext = np.zeros((p + plan.slots, p + plan.slots))
+    ext[:p, :p] = a
+    _write_control_edges(ext, p, plan.slots, control_owners)
+    return ext, plan
+
+
+def _control_plan(
+    p: int, n_control: int, n_leaves: int, *, hyperthreading: bool
+) -> ControlPlan:
+    """The control plan for *p* compute threads on *n_leaves* leaves."""
     if n_control < 0:
         raise MappingError(f"n_control must be >= 0, got {n_control}")
-
     if n_control == 0:
-        return a, ControlPlan("os", 0)
-
+        return ControlPlan("os", 0)
     if hyperthreading:
         # Sibling PUs absorb control threads; the matrix is unchanged
         # because compute mapping happens at core granularity.
-        return a, ControlPlan("ht-sibling", 0)
-
+        return ControlPlan("ht-sibling", 0)
     spare = n_leaves - p
     if spare <= 0:
-        return a, ControlPlan("os", 0)
+        return ControlPlan("os", 0)
+    return ControlPlan("spare-core", min(spare, n_control))
 
-    slots = min(spare, n_control)
+
+def _write_control_edges(
+    out: np.ndarray, p: int, slots: int, control_owners: list[int] | None
+) -> None:
+    """Write the *slots* control pseudo-threads' edges into *out*.
+
+    ``out[:p, :p]`` holds the trusted compute affinity; pseudo-thread
+    *s* is row and column ``p + s``, tied to its owner by a weight of
+    ``CONTROL_EPSILON`` times the largest compute affinity.
+    """
     owners = control_owners if control_owners is not None else [
         i % p for i in range(slots)
     ]
@@ -81,14 +103,11 @@ def extend_for_control_threads(
         raise MappingError(
             f"{len(owners)} control owners for {slots} control slots"
         )
-    scale = float(a.max()) if a.size and a.max() > 0 else 1.0
+    top = float(out[:p, :p].max()) if p else 0.0
+    scale = top if top > 0 else 1.0
     eps = CONTROL_EPSILON * scale
-
-    ext = np.zeros((p + slots, p + slots))
-    ext[:p, :p] = a
     for s in range(slots):
         owner = owners[s]
         if not 0 <= owner < p:
             raise MappingError(f"control owner {owner} outside [0, {p})")
-        ext[p + s, owner] = ext[owner, p + s] = eps
-    return ext, ControlPlan("spare-core", slots)
+        out[p + s, owner] = out[owner, p + s] = eps

@@ -121,8 +121,23 @@ def group_processes(
     canonical order (each group led by its smallest member, groups sorted
     by leader) so results are deterministic. *stats* is forwarded to
     :func:`refine_groups` when the refinement pass runs.
+
+    *m* is validated (:class:`~repro.errors.MatrixError`); the mapping
+    pipeline calls :func:`_group_processes` on matrices it built itself.
     """
     a = check_square(m, name="affinity matrix")
+    return _group_processes(a, arity, force=force, refine=refine, stats=stats)
+
+
+def _group_processes(
+    a: np.ndarray,
+    arity: int,
+    *,
+    force: str | None = None,
+    refine: bool = True,
+    stats: dict | None = None,
+) -> list[list[int]]:
+    """:func:`group_processes` on a trusted float64 affinity matrix."""
     p = a.shape[0]
     if arity <= 0:
         raise MappingError(f"arity must be positive, got {arity}")

@@ -14,10 +14,14 @@ import numpy as np
 
 from repro.errors import MappingError
 from repro.topology.tree import Topology
-from repro.treematch.aggregate import aggregate_comm_matrix
+from repro.treematch.aggregate import _aggregate
 from repro.treematch.commmatrix import CommunicationMatrix
-from repro.treematch.control import ControlPlan, extend_for_control_threads
-from repro.treematch.grouping import _canonical, group_processes, refine_groups
+from repro.treematch.control import (
+    ControlPlan,
+    _control_plan,
+    _write_control_edges,
+)
+from repro.treematch.grouping import _canonical, _group_processes, refine_groups
 from repro.treematch.maporder import child_distance_matrix, order_top_groups
 from repro.treematch.oversub import manage_oversubscription
 
@@ -334,7 +338,10 @@ def treematch_map(
 
     *comm* may also be a square array; it is validated as a
     :class:`CommunicationMatrix` (``InputError`` on non-finite or
-    negative entries).
+    negative entries). A :class:`CommunicationMatrix` was validated at
+    construction and is trusted: its affinity is built once, straight
+    into the zero-padded working matrix, and the grouping levels run
+    the unvalidated engine cores on matrices built here.
 
     Parameters mirror the paper's adaptations:
 
@@ -369,7 +376,6 @@ def treematch_map(
     p = comm.order
     if p == 0:
         raise MappingError("empty communication matrix")
-    aff = comm.affinity()
 
     leaf_objs, arities, granularity = _leaf_view(topology, hyperthread_aware)
     core_mode = granularity == "core"
@@ -384,25 +390,23 @@ def treematch_map(
         )
 
     # Line 1: extend the matrix to manage control threads.
-    ext, control_plan = extend_for_control_threads(
-        aff,
-        n_control,
-        n_leaves,
-        hyperthreading=core_mode,
-        control_owners=owners[: max(0, n_leaves - p)],
+    control_plan = _control_plan(
+        p, n_control, n_leaves, hyperthreading=core_mode
     )
-    p_ext = ext.shape[0]
+    p_ext = p + control_plan.slots
 
     # Line 2: manage oversubscription with a virtual level.
     plan = manage_oversubscription(list(arities), p_ext)
     lv = plan.virtual_leaves
 
-    # Pad with dummy (zero-communication) threads up to the leaf count.
-    m_cur = np.zeros((lv, lv))
-    m_cur[:p_ext, :p_ext] = ext
-    # Only m_cur is read from here on; two more order-p dense copies
-    # would stay alive through the whole grouping loop.
-    del aff, ext
+    # One build of the affinity, already padded with dummy
+    # (zero-communication) threads up to the leaf count; the control
+    # pseudo-threads' edges go into the same buffer.
+    m_cur = comm._affinity_into(np.zeros((lv, lv)))
+    if control_plan.slots:
+        _write_control_edges(
+            m_cur, p, control_plan.slots, owners[: max(0, n_leaves - p)]
+        )
 
     # Lines 4-7: group bottom-up, aggregating between levels.
     clusters: list[list[int]] = [[i] for i in range(lv)]
@@ -440,14 +444,14 @@ def treematch_map(
                 refine_groups(m_cur, seed, stats=refine_stats)
             )
         else:
-            groups = group_processes(
+            groups = _group_processes(
                 m_cur, a, force=engine, refine=refine, stats=refine_stats
             )
         clusters = [
             [tid for ci in g for tid in clusters[ci]] for g in groups
         ]
         groups_per_level.append(groups)
-        m_cur = aggregate_comm_matrix(m_cur, groups)
+        m_cur = _aggregate(m_cur, groups)
     if len(clusters) != 1:
         raise MappingError(
             f"grouping terminated with {len(clusters)} clusters (tree arities "
@@ -547,23 +551,23 @@ def _leaf_view(
 PARALLEL_MIN_TASKS = 8192
 
 
-def _pad_affinity(aff, lv: int):
-    """Extend *aff* with zero-communication padding rows up to order *lv*."""
-    n = int(aff.shape[0])
+def _padded_affinity(comm: CommunicationMatrix, lv: int):
+    """*comm*'s affinity in its native backend, zero-padded to order *lv*.
+
+    Dense storage is built once, straight into the padded buffer; CSR
+    gets empty padding rows.
+    """
+    if not comm.is_sparse:
+        return comm._affinity_into(np.zeros((lv, lv)))
+    csr = comm.affinity_any()
+    n = int(csr.shape[0])
     if lv == n:
-        return aff
-    if _sp is not None and _sp.issparse(aff):
-        csr = _sp.csr_array(aff)
-        indptr = np.concatenate([
-            np.asarray(csr.indptr, dtype=np.int64),
-            np.full(lv - n, csr.indptr[-1], dtype=np.int64),
-        ])
-        return _sp.csr_array(
-            (csr.data, csr.indices, indptr), shape=(lv, lv)
-        )
-    out = np.zeros((lv, lv))
-    out[:n, :n] = aff
-    return out
+        return csr
+    indptr = np.concatenate([
+        np.asarray(csr.indptr, dtype=np.int64),
+        np.full(lv - n, csr.indptr[-1], dtype=np.int64),
+    ])
+    return _sp.csr_array((csr.data, csr.indices, indptr), shape=(lv, lv))
 
 
 def _order_block(aff, arities: list[int]) -> list[int]:
@@ -573,7 +577,7 @@ def _order_block(aff, arities: list[int]) -> list[int]:
     part's submatrix; position ``q`` of the returned permutation is the
     task on virtual leaf ``q`` of this subtree.
     """
-    from repro.treematch.bisect import split_k
+    from repro.treematch.bisect import _split_k
     from repro.treematch.coarsen import take_submatrix
 
     n = int(aff.shape[0])
@@ -584,7 +588,7 @@ def _order_block(aff, arities: list[int]) -> list[int]:
         # Splitting into singletons: every task is its own virtual leaf
         # and any remaining arities are 1s — the order is the identity.
         return list(range(n))
-    parts = split_k(aff, k)
+    parts = _split_k(aff, k)
     rest = arities[1:]
     if not rest or (len(rest) == 1 and rest[0] >= len(parts[0])):
         # Terminal blocks: the remainder cannot reorder within a part
@@ -705,14 +709,14 @@ def multilevel_map(
 
     plan = manage_oversubscription(arities, p)
     lv = plan.virtual_leaves
-    aff = _pad_affinity(comm.affinity_any(), lv)
+    aff = _padded_affinity(comm, lv)
 
     seq = [a for a in plan.arities if a > 1]
     if seq:
-        from repro.treematch.bisect import split_k
+        from repro.treematch.bisect import _split_k
 
         k0 = seq[0]
-        parts = split_k(aff, k0)
+        parts = _split_k(aff, k0)
         if (
             distance_aware
             and k0 > 2
@@ -720,7 +724,7 @@ def multilevel_map(
         ):
             # MapGroups refinement, as in treematch_map: assign the top
             # parts to the root's children by interconnect distance.
-            agg = aggregate_comm_matrix(aff, parts)
+            agg = _aggregate(aff, parts)
             dist = child_distance_matrix(topology)
             ordered = order_top_groups([[i] for i in range(k0)], agg, dist)
             parts = [parts[g[0]] for g in ordered]

@@ -33,8 +33,48 @@ class TestTreeIsClean:
         for key in (
             ("repro/treematch/grouping.py", "refine_groups"),
             ("repro/treematch/bisect.py", "_attraction_rows"),
+            ("repro/treematch/bisect.py", "_rebalance_exact"),
+            ("repro/util/matrix.py", "affinity_into"),
         ):
             assert targets[key] == ("alloc", "per-call")
+
+    def test_mapping_suppressions_give_a_reason(self):
+        # Every once-per-call or once-per-pass allocation in the mapping
+        # targets is suppressed with a stated reason, not bare.
+        import inspect
+
+        from repro.treematch import bisect, grouping
+        from repro.util import matrix
+
+        for fn in (grouping.refine_groups, bisect._attraction_rows,
+                   bisect._rebalance_exact, matrix.affinity_into):
+            for line in inspect.getsource(fn).splitlines():
+                if "hotlint: ok" in line:
+                    reason = line.split("hotlint: ok(alloc)", 1)[1]
+                    assert reason.strip(" —-"), line
+
+    def test_per_pass_rebalance_comprehension_flagged(self):
+        # A rebalance pass that rebuilt the candidate lists with a
+        # comprehension allocates once per pass; per-call scope sees it.
+        findings = lint("""
+            def _rebalance_exact(cand, order):
+                while True:
+                    ranked = [int(cand[o]) for o in order]
+        """, qualname="_rebalance_exact", rules=("alloc", "per-call"))
+        assert codes(findings) == ["hot-loop-alloc"]
+
+    def test_per_tile_list_in_affinity_build_flagged(self):
+        # The affinity build runs no while loop; only per-call scope
+        # lints its tile loop.
+        source = """
+            def affinity_into(a, out, tiles):
+                for i0, j0 in tiles:
+                    blk = [i0, j0, list(range(i0, j0))]
+        """
+        assert codes(lint(source, qualname="affinity_into",
+                          rules=("alloc",))) == []
+        assert codes(lint(source, qualname="affinity_into",
+                          rules=("alloc", "per-call"))) == ["hot-loop-alloc"]
 
     def test_per_candidate_span_list_flagged(self):
         # The span walk _attraction_rows used to build, once per call.

@@ -29,7 +29,7 @@ from repro.treematch import (
     split_k,
     treematch_map,
 )
-from repro.treematch.bisect import _attraction_rows
+from repro.treematch.bisect import _attraction_rows, _rebalance_exact
 from repro.treematch.coarsen import heavy_edge_matching, parts_to_dense
 from repro.treematch.commmatrix import HAVE_SPARSE
 
@@ -239,6 +239,139 @@ class TestAttractionRows:
             indptr, indices, data, asg, 3, np.empty(0, dtype=np.intp)
         )
         assert got.shape == (0, 3)
+
+
+class RebalanceOracle:
+    """The per-candidate ``_rebalance_exact`` the list form replaced.
+
+    Kept verbatim (numpy-scalar walk over every ranked candidate, moves
+    written one by one, forced-move fallback) except for the gather,
+    which is the span walk above. ``forced`` counts fallback moves.
+    """
+
+    def __init__(self):
+        self.forced = 0
+
+    def __call__(self, indptr, indices, data, asg, k, size):
+        loads = np.bincount(asg, minlength=k)
+        while True:
+            excess = loads - size
+            over = np.flatnonzero(excess > 0)
+            if over.size == 0:
+                return asg
+            under = np.flatnonzero(excess < 0)
+            cand = np.flatnonzero(np.isin(asg, over))
+            attr = attraction_rows_by_spans(indptr, indices, data, asg, k, cand)
+            to_under = attr[:, under]
+            dest_pos = to_under.argmax(axis=1)
+            best_dest = under[dest_pos]
+            rows = np.arange(cand.size)
+            gain = to_under[rows, dest_pos] - attr[rows, asg[cand]]
+            order = np.argsort(-gain, kind="stable")
+            moved = False
+            for oi in order:
+                v = int(cand[oi])
+                src = int(asg[v])
+                dst = int(best_dest[oi])
+                if loads[src] <= size or loads[dst] >= size:
+                    continue
+                asg[v] = dst
+                loads[src] -= 1
+                loads[dst] += 1
+                moved = True
+            if not moved:
+                self.forced += 1
+                v = int(cand[0])
+                dst = int(np.flatnonzero(loads < size)[0])
+                loads[asg[v]] -= 1
+                loads[dst] += 1
+                asg[v] = dst
+
+
+class TestRebalanceExact:
+    @staticmethod
+    def check(indptr, indices, data, asg, k, size):
+        oracle = RebalanceOracle()
+        want = oracle(indptr, indices, data, asg.copy(), k, size)
+        got = _rebalance_exact(indptr, indices, data, asg.copy(), k, size)
+        assert np.array_equal(got, want)
+        assert (np.bincount(got, minlength=k) == size).all()
+        return oracle
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_oracle_on_random_loads(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 9))
+        size = int(rng.integers(3, 40))
+        n = k * size
+        indptr, indices, data = TestAttractionRows.csr(n, seed)
+        # Uniform, and skewed towards a few parts (deep over-full).
+        for p in (None, rng.dirichlet(np.full(k, 0.3))):
+            asg = rng.choice(k, size=n, p=p).astype(np.intp)
+            self.check(indptr, indices, data, asg, k, size)
+
+    def test_already_balanced_is_untouched(self):
+        indptr, indices, data = TestAttractionRows.csr(40, 3)
+        asg = np.repeat(np.arange(4), 10).astype(np.intp)
+        got = _rebalance_exact(indptr, indices, data, asg, 4, 10)
+        assert got is asg
+        assert np.array_equal(got, np.repeat(np.arange(4), 10))
+
+    def test_preferred_destinations_fill_up(self):
+        # Part 0 is over by 3; every candidate's preferred destination
+        # is part 1 (deficit 1), so each pass fills it after one move
+        # and skips the rest. The oracle's forced-move fallback never
+        # fires: the top-ranked candidate of a pass always moves.
+        k, size = 4, 5
+        n = k * size
+        asg = np.array([0] * 8 + [1] * 4 + [2] * 4 + [3] * 4, dtype=np.intp)
+        dense = np.zeros((n, n))
+        dense[:8, 8:12] = 10.0
+        dense[8:12, :8] = 10.0
+        from repro.treematch.coarsen import csr_parts
+
+        indptr, indices, data, _ = csr_parts(dense)
+        oracle = self.check(indptr, indices, data, asg, k, size)
+        assert oracle.forced == 0
+
+    def test_empty_candidate_spans(self):
+        # Candidates without CSR entries gain 0 everywhere: the ranking
+        # falls back to the stable index order.
+        k, size = 3, 6
+        n = k * size
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indices = np.zeros(0, dtype=np.int64)
+        data = np.zeros(0)
+        asg = np.array([0] * 10 + [1] * 5 + [2] * 3, dtype=np.intp)
+        self.check(indptr, indices, data, asg, k, size)
+
+    @needs_scipy
+    def test_call_by_call_inside_multilevel_map(self, monkeypatch):
+        import repro.treematch.bisect as bisect_mod
+
+        real = bisect_mod._rebalance_exact
+        calls = []
+
+        def compared(indptr, indices, data, asg, k, size):
+            oracle = RebalanceOracle()
+            want = oracle(indptr, indices, data, asg.copy(), k, size)
+            got = real(indptr, indices, data, asg, k, size)
+            calls.append(np.array_equal(got, want) and oracle.forced == 0)
+            return got
+
+        monkeypatch.setattr(bisect_mod, "_rebalance_exact", compared)
+        rng = np.random.default_rng(5)
+        base = CommunicationMatrix.stencil2d(2500, sparse=True).tocsr().tocoo()
+        label = rng.permutation(2500)
+        w = base.data * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, base.data.size))
+        comm = CommunicationMatrix.from_edges(
+            2500,
+            dict(zip(zip(label[base.row].tolist(), label[base.col].tolist()),
+                     w.tolist())),
+            sparse=True,
+        )
+        multilevel_map(machine_by_name("SMP20E7"), comm)
+        assert calls and all(calls)
 
 
 class TestMultilevelMap:
