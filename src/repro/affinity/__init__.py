@@ -8,7 +8,7 @@ smoothing + hysteresis + cooldown (:mod:`~repro.affinity.drift`), and
 on a trigger re-run TreeMatch warm-started from the current placement,
 rebinding only the threads that moved
 (:mod:`~repro.affinity.controller`). Works on both the ORWL and OpenMP
-runtimes and on all three simulator cores.
+runtimes and on both simulator cores.
 """
 
 from repro.affinity.controller import (

@@ -22,7 +22,7 @@ On a phase-stable program the estimate converges to the reference and
 the detector never fires: the controller performs **zero** remaps and
 the execution is bit-identical to an uncontrolled windowed run (the
 differential family of ``tests/test_affinity_controller.py`` enforces
-this across all three simulator cores).
+this on both simulator cores).
 """
 
 from __future__ import annotations

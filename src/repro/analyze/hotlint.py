@@ -97,27 +97,19 @@ _RULE_CODES = {
 HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/sim/machine.py", "SimMachine._run_batched",
      ("alloc", "self-attr", "tap")),
-    # The SoA core is one flat function whose drain loop carries the
-    # whole throughput target; every rule class applies.
-    ("repro/sim/soa.py", "run_soa", ("alloc", "tap")),
     # The sharded sync loop runs once per conservative epoch — far
     # cooler than per-event, but a per-message allocation inside it
     # scales with traffic, so it stays under the alloc rule with
     # amortized costs suppressed in place.
     ("repro/sim/shard.py", "run_sharded", ("alloc",)),
-    # The run-ahead kernel body: the exact code numba compiles (or
-    # CPython interprets as the fallback twin), so a stray allocation
-    # is either a compile error or a per-round cost. The wrapper module
-    # is import-time only; only the kernel function is hot.
-    ("repro/sim/jit.py", "_chain_runahead", ("alloc", "tap")),
     ("repro/sim/engine.py", "Engine.run", ("alloc", "tap")),
     ("repro/sim/engine.py", "BatchedQueue", ("alloc",)),
     ("repro/sim/cache.py", "L3State.install", ("alloc",)),
     ("repro/sim/cache.py", "CacheSystem.touch", ("alloc", "tap")),
     ("repro/sim/observe.py", "RingTrace._bind_add", ("alloc",)),
     ("repro/sim/observe.py", "SimObserver.fold", ("alloc",)),
-    # Placement runs once per dispatch from both fast cores' drain
-    # loops and the object core; occupy/release once per transition.
+    # Placement runs once per dispatch from the batched core's drain
+    # loop and the object core; occupy/release once per transition.
     # The whole body is the hot path, hence the per-call scope.
     ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc", "per-call")),
     ("repro/sim/scheduler.py", "OSScheduler.occupy", ("alloc", "per-call")),

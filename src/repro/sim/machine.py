@@ -21,20 +21,17 @@ Touch) occupy the thread's PU for a priced duration, chopped at the OS
 timeslice so preemption, hyperthread contention and rebalancing are
 re-evaluated at quantum boundaries. Blocking ops free the PU.
 
-Three run-loop implementations share these semantics:
+Two run-loop implementations share these semantics:
 
 * the **object path** — the small methods below (`_step`, `_busy_done`,
-  `_dispatch`, …) driven by closure events on :class:`Engine`.
+  `_dispatch`, …) driven by closure events on :class:`Engine`. It is
+  the readable reference.
 * the **batched core** (:meth:`_run_batched`) — one flat interpreter
   over a :class:`~repro.sim.engine.BatchedQueue` of scalar kind-coded
   events, with the Touch/Compute pricing inlined against the
   precomputed ``(accessor, home)`` cost table and same-instant
-  busy-completion batches advanced in one vectorized pass.
-* the **SoA core** (:mod:`repro.sim.soa`) — the batched interpreter with
-  per-thread quantum state moved into struct-of-arrays columns for the
-  duration of the run; runs of same-instant busy completions are priced
-  in one numpy segment and re-emitted as single vector events. This is
-  the default (``core="auto"``).
+  busy-completion batches advanced in one vectorized pass. This is the
+  default (``core="auto"``).
 
 Observability works on **both** paths: ``SimMachine.monitors``,
 :class:`Trace`, ``OSScheduler.on_place`` and a
@@ -44,13 +41,13 @@ that still forces the object path is ``Engine.watchers`` — a callback
 after *every* processed event is exactly the per-event dispatch the
 batched core exists to eliminate.
 
-:meth:`run` selects the SoA core automatically whenever no watcher is
-installed; fixed-seed runs produce bit-identical counters and clocks on
-every path, with or without taps
+:meth:`run` selects the batched core automatically whenever no watcher
+is installed; fixed-seed runs produce bit-identical counters and clocks
+on both paths, with or without taps
 (``tests/test_sim_batched_equivalence.py`` and
 ``tests/test_sim_difftest.py`` prove it on the three paper
 applications plus a generated program family). When editing one path,
-mirror the others — the equivalence tests will catch any drift.
+mirror the other — the equivalence tests will catch any drift.
 
 :meth:`run_window` drains events only up to a virtual-time horizon and
 may be called repeatedly — the epoch primitive :mod:`repro.sim.shard`
@@ -106,7 +103,6 @@ from repro.sim.process import (
     YieldCPU,
 )
 from repro.sim.scheduler import OSScheduler
-from repro.sim.soa import run_soa
 from repro.sim.trace import Trace
 from repro.topology.binding import validate_cpuset
 from repro.topology.tree import Topology
@@ -114,13 +110,6 @@ from repro.util.bitmap import Bitmap
 from repro.util.rng import make_rng
 
 __all__ = ["SimMachine"]
-
-#: Back-compat aliases — these limits live in :class:`repro.sim.params.
-#: SimLimits` now; pass ``SimMachine(..., limits=SimLimits(...))`` instead
-#: of monkeypatching these module globals (the machine no longer reads
-#: them after construction).
-MAX_OPS_PER_STEP = SimLimits().max_ops_per_step
-DEFAULT_MAX_EVENTS = SimLimits().max_events
 
 #: topology -> {pu: [hyperthread sibling PUs]} (pure in the topology, and
 #: topology presets are memoized — share across the many machines a sweep
@@ -157,7 +146,7 @@ class SimMachine:
     """A virtual NUMA machine executing simulated threads."""
 
     #: Run-loop implementations selectable via the ``core`` kwarg.
-    CORES = ("auto", "soa", "batched", "object")
+    CORES = ("auto", "batched", "object")
 
     def __init__(
         self,
@@ -210,14 +199,14 @@ class SimMachine:
         #: Optional metrics/ring-trace observer (repro.sim.observe); works
         #: on both cores. Set here or via :meth:`attach_observer`.
         self.observer: SimObserver | None = observer
-        #: Which run loop :meth:`run` actually executed ("soa",
-        #: "soa+jit", "batched" or "object"); None before run().
-        #: "soa+jit" is the SoA loop with the compiled run-ahead kernel
-        #: of :mod:`repro.sim.jit` selected (``SimLimits.jit``).
+        #: Which run loop :meth:`run` actually executed ("batched" or
+        #: "object"); None before run().
         self.core_used: str | None = None
-        #: Diagnostic counters of the SoA core's run-ahead paths
-        #: (``chase_events``, ``jit_events``: events absorbed by the
-        #: chain chase / the run-ahead kernel). Empty on other cores.
+        #: Diagnostic counters of the run loop; always empty, since
+        #: neither core keeps any. It stays only because
+        #: ``perfbench/tracing.py`` reads ``core_stats.get("chase_events",
+        #: 0)``, and goes together with that read at the next benchmark
+        #: change.
         self.core_stats: dict = {}
         self.clock_hz = float(topology.root.attrs.get("clock_hz", 2.6e9))
         self._ready: deque[SimThread] = deque()
@@ -227,11 +216,6 @@ class SimMachine:
         #: _on_signal routes wakeups through it so signals raised from
         #: generator code land in the batched queue, not the object heap.
         self._fast_signal = None
-        #: While the SoA core drains, this is its bound-flag column
-        #: (array('b') indexed by tid); bind_thread keeps it coherent so
-        #: affinity changes made from running generator code are seen by
-        #: the vectorized eligibility masks.
-        self._soa_bound = None
         #: Virtual time (cycles) at which the event queue last made
         #: progress. run_window() quantizes ``engine.now`` up to the
         #: epoch horizon even when the queue drained early, so windowed
@@ -287,9 +271,6 @@ class SimMachine:
         if cpuset is not None:
             validate_cpuset(self.topology, cpuset)
         thread.cpuset = cpuset
-        bound = self._soa_bound
-        if bound is not None and thread.tid < len(bound):
-            bound[thread.tid] = 0 if cpuset is None else 1
 
     def attach_sanitizer(self):
         """Attach the invariant sanitizer's live taps (idempotent).
@@ -337,7 +318,7 @@ class SimMachine:
     def _select_core(self) -> str:
         """Resolve the ``core`` kwarg to the loop that will execute."""
         unsupported = self._unsupported_taps()
-        if self.core in ("soa", "batched") and unsupported:
+        if self.core == "batched" and unsupported:
             raise SimulationError(
                 f"core={self.core!r} is incompatible with the "
                 f"{', '.join(unsupported)} tap — a per-event callback only "
@@ -346,27 +327,7 @@ class SimMachine:
             )
         if self.core == "object" or unsupported:
             return "object"
-        if self.core == "batched":
-            return "batched"
-        return "soa"  # "auto" and "soa"
-
-    def _use_jit(self) -> bool:
-        """Resolve ``SimLimits.jit`` against numba availability.
-
-        ``"auto"`` selects the compiled kernel only when the
-        ``repro[jit]`` extra is installed; ``"on"`` forces the kernel
-        (pure-python fallback without numba — slow, but it exercises
-        the exact kernel logic, which is how the equivalence tests
-        referee it); ``"off"`` never calls it.
-        """
-        jit = self.limits.jit
-        if jit == "on":
-            return True
-        if jit == "off":
-            return False
-        from repro.sim.jit import HAVE_NUMBA
-
-        return HAVE_NUMBA
+        return "batched"  # "auto" and "batched"
 
     def run(
         self,
@@ -378,18 +339,14 @@ class SimMachine:
         """Execute until every thread finishes; returns elapsed seconds.
 
         *max_events* defaults to ``self.limits.max_events``. Core
-        selection: ``core="auto"`` runs the SoA core unless an
+        selection: ``core="auto"`` runs the batched core unless an
         ``engine.watchers`` tap is installed (the one tap that needs the
         object path's per-event callback); ``core="object"`` forces the
-        compatibility path; ``core="soa"``/``core="batched"`` insist on
-        that flat core and raise if a watcher makes it impossible.
-        monitors/trace/on_place taps and
-        :class:`~repro.sim.observe.SimObserver` run natively on every
-        core. On the SoA core, ``SimLimits.jit`` additionally selects
-        the compiled run-ahead kernel (``"auto"`` — only when the
-        ``repro[jit]`` extra is installed). All cores are bit-identical
-        on fixed seeds; :attr:`core_used` records which one executed
-        (``"soa+jit"`` when the kernel was selected).
+        reference path; ``core="batched"`` insists on the flat core and
+        raises if a watcher makes it impossible. monitors/trace/on_place
+        taps and :class:`~repro.sim.observe.SimObserver` run natively on
+        both cores. Both cores are bit-identical on fixed seeds;
+        :attr:`core_used` records which one executed.
 
         Raises :class:`DeadlockError` if threads remain blocked with an
         empty event queue (unless *allow_incomplete*).
@@ -405,18 +362,12 @@ class SimMachine:
         if max_events is None:
             max_events = self.limits.max_events
         use = self._select_core()
-        jit = use == "soa" and self._use_jit()
-        self.core_used = "soa+jit" if jit else use
+        self.core_used = use
         observer = self.observer
         if observer is not None:
             observer.begin(self)
         try:
-            if use == "soa":
-                run_soa(
-                    self, max_cycles=max_cycles, max_events=max_events,
-                    jit=jit,
-                )
-            elif use == "batched":
+            if use == "batched":
                 self._run_batched(max_cycles=max_cycles, max_events=max_events)
             else:
                 for thread in self.threads:
@@ -456,15 +407,17 @@ class SimMachine:
         window depends on a message that arrives at a later one. Between
         windows the machine is quiescent at a well-defined virtual time:
         in-flight busy chunks and wakeups are parked as typed re-entry
-        shims on the object heap, and every core's merge loop restores
-        them natively on the next call.
+        shims on the object heap, and the next call resumes them on
+        either core (the batched merge loop restores their kind codes).
 
         Differences from :meth:`run`: no deadlock check (threads are
         expected to be mid-flight between windows), no sanitizer attach,
         and the observer folds only when the caller invokes
         ``observer.fold(machine)`` after the last window (``fold`` is
-        idempotent). *max_events* is a per-window budget. Returns
-        elapsed seconds at the window boundary.
+        idempotent). *max_events* is a per-window budget. A thread
+        registered between windows (``add_thread`` with ``start=True``)
+        starts at the next window. Returns elapsed seconds at the window
+        boundary.
         """
         if until < self.engine.now:
             raise SimulationError(
@@ -473,24 +426,25 @@ class SimMachine:
         if max_events is None:
             max_events = self.limits.max_events
         use = self._select_core()
-        jit = use == "soa" and self._use_jit()
         first = not self._ran
         self._ran = True
         if first:
-            self.core_used = "soa+jit" if jit else use
+            self.core_used = use
             observer = self.observer
             if observer is not None:
                 observer.begin(self)
         ev0 = self.engine.events_processed
-        if use == "soa":
-            run_soa(self, max_cycles=until, max_events=max_events, jit=jit)
-        elif use == "batched":
-            self._run_batched(max_cycles=until, max_events=max_events)
+        if use == "batched":
+            self._run_batched(
+                max_cycles=until, max_events=max_events, first=first
+            )
         else:
-            if first:
-                for thread in self.threads:
-                    if thread.state == "new":
-                        self._make_ready(thread)
+            started = False
+            for thread in self.threads:
+                if thread.state == "new":
+                    self._make_ready(thread)
+                    started = True
+            if first or started:
                 self._dispatch()
             self.engine.run(max_cycles=until, max_events=max_events)
         # Record the honest drain point before the horizon clamp below —
@@ -507,7 +461,8 @@ class SimMachine:
         return self.elapsed_seconds
 
     def _run_batched(
-        self, *, max_cycles: float | None, max_events: int | None
+        self, *, max_cycles: float | None, max_events: int | None,
+        first: bool = True,
     ) -> None:
         """The batched core: one flat drain loop over kind-coded events.
 
@@ -520,6 +475,10 @@ class SimMachine:
         (when, seq) event order, same rng call order. When changing either
         path, mirror the other; ``tests/test_sim_batched_equivalence.py``
         is the referee.
+
+        *first* is False when :meth:`run_window` re-enters a machine that
+        has already run: like the object path, the entry then dispatches
+        only if it started a thread registered since the last window.
         """
         eng = self.engine
         model = self.model
@@ -863,10 +822,13 @@ class SimMachine:
         bwhen = 0.0
         blive = False
         try:
+            started = False
             for thread in self.threads:
                 if thread.state == "new":
                     make_ready(thread)
-            dispatch()
+                    started = True
+            if first or started:
+                dispatch()
             while True:
                 if bi < len(bb):
                     # Drain one event of the live bucket: append order is
@@ -1479,9 +1441,9 @@ class SimMachine:
                 # A max_cycles/budget stop (or an app raise mid-bucket) can
                 # leave events in flight: convert them to typed re-entry
                 # shims so engine.pending, manual engine.run() and the
-                # next run_window() all keep working — the flat cores'
-                # merge loops recognize the shims and rebuild their
-                # kind-coded triples. The live bucket is still
+                # next run_window() all keep working — the merge loop
+                # recognizes the shims and rebuilds their kind-coded
+                # triples. The live bucket is still
                 # registered; only its undrained tail is in flight.
                 for w, b_l in buckets.items():
                     j0 = bi if blive and w == bwhen else 0

@@ -103,8 +103,8 @@ class OSScheduler:
 
     # -- occupancy bookkeeping (machine calls these) -----------------------------
     #
-    # The batched and SoA cores inline these two updates in their
-    # start_on/release_pu closures; all three copies change the busy
+    # The batched core inlines these two updates in its
+    # start_on/release_pu closures; both copies change the busy
     # map, the load counts and the masks at the same point. They read
     # ``_load_free`` on every call: a placement may build it mid-run.
 
@@ -158,7 +158,7 @@ class OSScheduler:
         """Per-PU count of *compute* threads on hyperthread siblings.
 
         ``result[pu]`` is how many compute threads currently occupy PUs in
-        ``sibling_pus[pu]`` — the table both flat cores maintain
+        ``sibling_pus[pu]`` — the table the batched core maintains
         incrementally at occupy/release so the hyperthread-contention test
         is a single list index. This builds the starting snapshot from the
         busy map (placements at run entry, e.g. re-entering a window).

@@ -263,8 +263,8 @@ class ShardContext:
     def send(self, name: str) -> int:
         """Send one message on every out-channel named *name*.
 
-        Stamped with the engine's current virtual time (both flat cores
-        keep ``engine.now`` current per event bucket). Returns the
+        Stamped with the engine's current virtual time (both cores
+        keep ``engine.now`` current per event). Returns the
         number of channels the message fanned out to.
         """
         chans = self._out.get(name)
@@ -289,8 +289,8 @@ def _build_halo_wide(ctx: ShardContext) -> None:
     ``iters`` rounds of Compute+Touch, then rendezvous with a control
     thread that emits a ``halo`` message and waits for every incoming
     ``halo`` before releasing the next round — a distributed-stencil
-    skeleton whose per-epoch work is wide enough to vectorize on the
-    SoA core and dwarf the barrier exchange.
+    skeleton whose per-epoch work is wide enough to batch on the fast
+    core and dwarf the barrier exchange.
     """
     m = ctx.machine
     width = int(ctx.params.get("width", 32))

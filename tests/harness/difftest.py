@@ -1,11 +1,17 @@
-"""Differential-testing harness: object vs batched vs SoA, bit for bit.
+"""Differential-testing harness: object vs batched, bit for bit.
 
 Generates seeded random ORWL programs over the three paper application
-skeletons (lk23 wavefront, matmul ring, video pipeline) at miniature
-problem sizes, runs each one on all three simulator cores, and asserts
-the full fingerprint — counters, final clock, event count, thread
-states, and (when taps are attached) every observation stream — is
-*identical*, not merely close.
+skeletons (lk23 wavefront, matmul ring, video pipeline), plus a family
+of serial dependency chains, at miniature problem sizes, runs each one
+on both simulator cores (the object reference and the batched fast
+core), and asserts the full fingerprint — counters, final clock, event
+count, thread states, and (when taps are attached) every observation
+stream — is *identical*, not merely close.
+
+:func:`check_windowed` adds the epoch dimension: the same program is
+cut at seeded random :meth:`~repro.sim.machine.SimMachine.run_window`
+horizons under the invariant sanitizer, on both cores, and must land
+exactly where the one-shot run does.
 
 Each generated spec carries a tap mode:
 
@@ -44,9 +50,12 @@ __all__ = [
     "generate_programs",
     "generate_chain_programs",
     "run_one",
+    "run_windowed",
     "check_program",
+    "check_windowed",
     "run_smoke",
     "run_chain_smoke",
+    "run_windowed_smoke",
 ]
 
 APPS = ("lk23", "matmul", "video", "chain")
@@ -57,8 +66,12 @@ TOPOLOGIES = {
     "smp12e5_4s": smp12e5_4s,
 }
 
+#: The two run loops every check compares: the reference, then the fast
+#: core.
+CORES = ("object", "batched")
+
 #: Snapshot keys excluded from cross-core comparison: the per-kind event
-#: split only exists where events are kind-coded (the flat cores).
+#: split only exists where events are kind-coded (the batched core).
 _CORE_ONLY_PREFIX = "sim_events_by_kind_total"
 
 
@@ -182,14 +195,13 @@ def build_chain_machine(spec: ProgramSpec, core: str, taps: Taps):
     """A dependency-chain program straight on a :class:`SimMachine`.
 
     The "chain" family exists because the three ORWL apps are all
-    pipeline-parallel: many threads are runnable at once, so the SoA
-    core's serial-chain fast paths (the chain chase and, with
-    ``SimLimits(jit="on")``, the run-ahead kernel's interpreted twin)
-    barely fire under difftest. These shapes pin them down:
+    pipeline-parallel: many threads are runnable at once, so one-event
+    buckets, single-waiter wakeups and idle-machine dispatch barely
+    occur under difftest. These shapes pin them down:
 
     ``ring``
         a single token passed around *n_threads* stages — exactly one
-        runnable thread at any instant, the pure chase workload;
+        runnable thread at any instant;
     ``line``
         thread 0 produces *loops* tokens through a relay of stages — a
         filling pipeline that repeatedly narrows back to a chain;
@@ -299,6 +311,10 @@ def run_one(spec: ProgramSpec, core: str) -> dict:
         rt = build_runtime(spec, core, taps)
         rt.run()
         machine = rt.machine
+    return _fingerprint(machine, taps)
+
+
+def _fingerprint(machine, taps: Taps) -> dict:
     fp = {
         "core_used": machine.core_used,
         "counters": machine.total_counters().snapshot(),
@@ -326,25 +342,104 @@ def run_one(spec: ProgramSpec, core: str) -> dict:
     return fp
 
 
+def _assert_same(ref: dict, fp: dict, what: str) -> None:
+    """Field-by-field comparison so a failure names the drifting field."""
+    for key in ref:
+        if key == "core_used":
+            continue
+        assert fp[key] == ref[key], f"{key} differs on {what}"
+
+
 def check_program(spec: ProgramSpec) -> dict:
-    """Run *spec* on all three cores, assert bit-identical fingerprints.
+    """Run *spec* on both cores, assert bit-identical fingerprints.
 
     Returns the batched fingerprint (handy for further assertions).
     Comparison is field by field so a failure names the drifting field,
     the drifting core and the spec, not just "dicts differ".
     """
     fp_object = run_one(spec, "object")
-    fps = {core: run_one(spec, core) for core in ("batched", "soa")}
+    fp_batched = run_one(spec, "batched")
     assert fp_object["core_used"] == "object", spec.describe()
-    for core, fp in fps.items():
+    assert fp_batched["core_used"] == "batched", spec.describe()
+    _assert_same(fp_object, fp_batched, f"batched core for {spec.describe()}")
+    return fp_batched
+
+
+#: Observer keys that legitimately depend on the windowing: the elapsed
+#: gauge and per-PU idle time follow the final window horizon. Every
+#: other metric must fold identically.
+_WINDOW_KEYS = ("sim_elapsed_cycles", "sim_pu_idle_cycles")
+
+
+def _drop_window_keys(fp: dict) -> dict:
+    if "metrics" in fp:
+        fp["metrics"] = {
+            k: v for k, v in fp["metrics"].items()
+            if not k.startswith(_WINDOW_KEYS)
+        }
+    return fp
+
+
+def run_windowed(
+    spec: ProgramSpec, core: str, horizons: list[float]
+) -> dict:
+    """Execute *spec* on *core* in ``run_window`` epochs, sanitized.
+
+    The invariant sanitizer is attached before the first window and
+    verified after the last, so clock, occupancy and conservation are
+    checked live across every epoch boundary. *horizons* are the
+    window ends in increasing order; a final window past the last one
+    drains the program. Returns the :func:`run_one` fingerprint, with
+    ``elapsed_cycles`` read at the honest drain point
+    (``window_drained_at``, not the quantized final horizon) and the
+    observer metrics of :data:`_WINDOW_KEYS` dropped.
+    """
+    taps = _make_taps(spec.tap_mode)
+    if spec.app == "chain":
+        machine = build_chain_machine(spec, core, taps)
+    else:
+        rt = build_runtime(spec, core, taps)
+        rt.prepare_run()
+        machine = rt.machine
+    sanitizer = machine.attach_sanitizer()
+    for horizon in horizons:
+        machine.run_window(horizon)
+    machine.run_window(2.0 * max(horizons, default=0.0) + 1e12)
+    assert all(t.state in ("done", "unstarted") for t in machine.threads), (
+        f"windowed run did not finish for {spec.describe()}"
+    )
+    if taps.observer is not None:
+        taps.observer.fold(machine)
+    sanitizer.verify(machine)
+    assert sanitizer.checks > 0, spec.describe()
+    fp = _fingerprint(machine, taps)
+    fp["elapsed_cycles"] = machine.window_drained_at
+    return _drop_window_keys(fp)
+
+
+def check_windowed(spec: ProgramSpec, *, windows: int = 6,
+                   seed: int = 0) -> dict:
+    """Windowed, sanitized runs on both cores equal the one-shot run.
+
+    The one-shot object run is the reference. Its final clock scales
+    *windows* seeded uniform horizons, which cut the program on the
+    object and on the batched core; a uniform draw lands mid-chunk, so
+    each boundary parks in-flight busy work and wakeups. Each windowed
+    fingerprint must equal the one-shot one field by field, observer
+    metrics excepted where windowing moves them by design
+    (:data:`_WINDOW_KEYS`). Returns the batched windowed fingerprint.
+    """
+    ref = _drop_window_keys(run_one(spec, "object"))
+    rng = Random(seed)
+    horizons = sorted(
+        rng.uniform(0.0, ref["elapsed_cycles"]) for _ in range(windows)
+    )
+    fp = {}
+    for core in CORES:
+        fp = run_windowed(spec, core, horizons)
         assert fp["core_used"] == core, spec.describe()
-        for key in fp_object:
-            if key == "core_used":
-                continue
-            assert fp[key] == fp_object[key], (
-                f"{key} differs on {core} core for {spec.describe()}"
-            )
-    return fps["batched"]
+        _assert_same(ref, fp, f"windowed {core} core for {spec.describe()}")
+    return fp
 
 
 def run_smoke(n: int = 6, seed: int = 0) -> int:
@@ -358,8 +453,7 @@ def run_smoke(n: int = 6, seed: int = 0) -> int:
 
 def generate_chain_programs(n: int, seed: int = 0) -> list[ProgramSpec]:
     """*n* seeded chain-family specs, tap modes cycling — the serial
-    dependency programs that drive the SoA core's chase/run-ahead
-    paths, for focused smoke checks and threshold tests."""
+    dependency programs, for focused smoke checks."""
     rng = Random(seed)
     return [
         ProgramSpec(
@@ -376,13 +470,23 @@ def generate_chain_programs(n: int, seed: int = 0) -> list[ProgramSpec]:
 
 
 def run_chain_smoke(n: int = 6, seed: int = 0) -> int:
-    """Chain-heavy preflight: bit-identity of the serial-chain fast
-    paths across cores, taps off/on/sampled. The lint preflight runs
-    this next to :func:`run_smoke` so a chase regression can't hide
+    """Chain-heavy preflight: bit-identity of serial dependency chains
+    across cores, taps off/on/sampled. The lint preflight runs this
+    next to :func:`run_smoke` so a drift on one-event buckets can't hide
     behind the pipeline-parallel app programs."""
     specs = generate_chain_programs(n, seed=seed)
     for spec in specs:
         check_program(spec)
+    return len(specs)
+
+
+def run_windowed_smoke(n: int = 8, seed: int = 0) -> int:
+    """Windowed preflight: :func:`check_windowed` on the first *n*
+    generated programs (all four app shapes, taps cycling), each cut at
+    its own seeded horizons; returns how many passed."""
+    specs = generate_programs(n, seed=seed)
+    for spec in specs:
+        check_windowed(spec, seed=seed + spec.index)
     return len(specs)
 
 

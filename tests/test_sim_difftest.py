@@ -1,10 +1,12 @@
-"""Differential tests: 54 generated programs across all three cores.
+"""Differential tests: 54 generated programs across both cores.
 
 Driven by :mod:`tests.harness.difftest` — each generated spec executes
-on the object, batched and SoA cores and the full fingerprint (counters, final
+on the object and batched cores and the full fingerprint (counters, final
 clock, event count, thread states, plus ring/metrics/monitor streams
 when taps are attached) must be bit-identical. A second pass pins the
 complementary guarantee: attaching taps never perturbs the run itself.
+A third cuts programs at seeded random ``run_window`` horizons under the
+invariant sanitizer and requires the one-shot result on both cores.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ def test_bit_identical_across_cores(spec):
         assert fp["monitor"]["finished"] > 0
 
 
-@pytest.mark.parametrize("core", ["batched", "soa"])
+@pytest.mark.parametrize("core", ["batched"])
 @pytest.mark.parametrize("index", range(9))
 def test_taps_do_not_perturb_the_run(index, core):
-    """Same spec, all three tap modes, each flat core: the
+    """Same spec, all three tap modes, on the batched core: the
     run-describing fields must not move at all when observation is
     attached."""
     base = SPECS[index]
@@ -97,11 +99,50 @@ def test_run_smoke_passes():
     assert difftest.run_smoke(3) == 3
 
 
+#: Windowed family in tier-1: one program per app shape, covering all
+#: three tap modes; the lint preflight's ``run_windowed_smoke`` runs more.
+WINDOWED = [SPECS[i] for i in (0, 4, 8, 11, 13, 18)]
+
+
+@pytest.mark.parametrize(
+    "spec", WINDOWED, ids=lambda s: f"{s.index:02d}-{s.app}-{s.tap_mode}"
+)
+def test_windowed_sanitized_matches_one_shot(spec):
+    fp = difftest.check_windowed(spec, seed=spec.index)
+    assert fp["core_used"] == "batched"
+
+
+def test_windowed_family_covers_apps_and_taps():
+    assert {s.app for s in WINDOWED} == set(difftest.APPS)
+    assert {s.tap_mode for s in WINDOWED} == set(difftest.TAP_MODES)
+
+
+def test_windowed_check_sees_a_broken_window(monkeypatch):
+    """A window loop that loses the tail of the live bucket must fail
+    the check, not pass it: the check really compares the epochs."""
+    from repro.sim.machine import SimMachine
+
+    real = SimMachine.run_window
+
+    def lossy(self, until, **kw):
+        out = real(self, until, **kw)
+        self.engine._heap.clear()  # drop every parked event
+        return out
+
+    monkeypatch.setattr(SimMachine, "run_window", lossy)
+    with pytest.raises(AssertionError):
+        difftest.check_windowed(SPECS[0], seed=0)
+
+
+def test_run_windowed_smoke_passes():
+    assert difftest.run_windowed_smoke(2) == 2
+
+
 def test_sanitized_unbound_smp20e7_across_cores(monkeypatch):
     """REPRO_SANITIZE=1 on an unbound SMP20E7 matmul cell: every thread
     is placed by the spread policy, with wakeup and rebalance
     migrations, so the scheduler's free masks change on every
-    transition. The sanitizer checks them live and post-run on all three
+    transition. The sanitizer checks them live and post-run on both
     cores, and the checked runs agree bit for bit."""
     from repro.analyze.invariants import fingerprint
 
@@ -111,7 +152,7 @@ def test_sanitized_unbound_smp20e7_across_cores(monkeypatch):
         topology="smp20e7", affinity=False, seed=7, tap_mode="off",
     )
     fps = {}
-    for core in ("object", "batched", "soa"):
+    for core in difftest.CORES:
         rt = difftest.build_runtime(spec, core, difftest._make_taps("off"))
         rt.run()
         machine = rt.machine
@@ -125,4 +166,3 @@ def test_sanitized_unbound_smp20e7_across_cores(monkeypatch):
         fp.pop("core_used")
         fps[core] = fp
     assert fps["batched"] == fps["object"]
-    assert fps["soa"] == fps["object"]
